@@ -354,7 +354,7 @@ def measure_plans_stacked(num_models: int = 8, steps: int = 30,
     ys = rng.integers(0, NUM_CLASSES, size=(steps, num_models, batch_size))
 
     def one_pass(plans_on: bool):
-        nn_plan.clear_stacked_plans()
+        nn_plan.clear_plans()
         modules = [_small_module("mlp", seed) for seed in range(num_models)]
         optimizers = [nn.SGD(module.parameters(), lr=0.1, momentum=0.9)
                       for module in modules]

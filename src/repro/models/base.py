@@ -237,16 +237,6 @@ class NeuralStreamingModel(StreamingModel):
     def load_state_dict(self, state: dict) -> None:
         self.module.load_state_dict(state)
         self._weights_version += 1
-        # Restored weights are new arrays; cached plans hold buffers bound
-        # to the old ones and would silently train stale state.
-        _plan.invalidate_plans(self)
-
-    def __getstate__(self) -> dict:
-        # Plans alias parameter/optimizer buffers by identity; a pickled or
-        # deep-copied model must re-capture against its own copies.
-        state = self.__dict__.copy()
-        state.pop("_plans", None)
-        return state
 
     def clone(self) -> "NeuralStreamingModel":
         return type(self)(**self._config())

@@ -16,19 +16,22 @@ cached.  Any mismatch (or any op the compiler does not recognize) marks
 the signature unsupported and the model keeps using the reference path.
 Capture therefore never changes results, only speed.
 
-**Invalidation.**  Plans are keyed by batch shape, train/eval mode, and
-step count; a shape change simply misses the cache.  Replay kernels
-fetch ``parameter.data`` at call time, so ``load_state_dict`` /
-checkpoint restore (which replaces the data arrays — the PR-9
-``_flat_state`` bug class) cannot leave a kernel holding stale buffers;
-the model layer still drops its plans on restore so momentum-laden
-replays re-verify from scratch.  The whole engine sits behind the
+**One cache, keyed by architecture.**  Plans live in one bounded LRU per
+thread (so no arena is shared across threads), keyed by the model's
+*structure* — model class, module tree, optimizer class, ``sgd_steps`` —
+plus the batch signature.  Weights, seeds and learning rates are not in
+the key: kernels address parameters by index into ``module.parameters()``
+and Dropout generators by position, and each replay binds them to the
+calling model for that call only.  Learner levels, knowledge restores,
+clones, unpickled copies and rehydrated serving tenants thus all replay
+the one plan that was verified once.  The whole engine sits behind the
 ``plan_capture`` flag in :mod:`repro.perf.config`.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import Counter, OrderedDict
 from time import perf_counter
 
@@ -48,8 +51,7 @@ __all__ = [
     "fit_with_plan",
     "proba_with_plan",
     "stacked_fit_with_plan",
-    "invalidate_plans",
-    "clear_stacked_plans",
+    "clear_plans",
     "PLAN_CACHE_COUNTER",
 ]
 
@@ -57,11 +59,8 @@ __all__ = [
 #: invalidate), exported by :class:`repro.perf.HotPathProfiler`.
 PLAN_CACHE_COUNTER = "freeway_plan_cache"
 
-#: Per-model plans kept per signature before LRU eviction.
-_PLAN_SET_CAP = 8
-
-#: Global stacked-plan cache size (one entry per tenant-group signature).
-_STACKED_CAP = 16
+#: Plans (fit, proba and stacked alike) each thread keeps, LRU-evicted.
+_CACHE_CAP = 16
 
 
 class PlanUnsupported(Exception):
@@ -108,9 +107,19 @@ def remove_plan_hook(hook) -> None:
 
 
 def plan_cache_stats() -> dict:
-    """Cumulative event counts (process-wide, monotonic)."""
+    """Cumulative event counts (process-wide, monotonic) plus two gauges.
+
+    ``entries`` (cached plans and unsupported markers) and
+    ``arena_bytes`` (the plans' preallocated buffers) sum over every
+    live thread's cache.
+    """
     with _STATS_LOCK:
-        return dict(_STATS)
+        stats = dict(_STATS)
+    with _CACHES_LOCK:
+        caches = list(_CACHES)
+    stats["entries"] = sum(len(cache.entries) for cache in caches)
+    stats["arena_bytes"] = sum(cache.arena_bytes for cache in caches)
+    return stats
 
 
 def _notify(event: str, seconds: float = 0.0) -> None:
@@ -126,9 +135,11 @@ def _notify(event: str, seconds: float = 0.0) -> None:
 
 
 def _freeze(value):
-    """Hashable/comparable form of an RNG-state entry (dicts, arrays)."""
+    """Comparable form of optimizer / RNG state (dicts, lists, arrays)."""
     if isinstance(value, dict):
         return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
+    if isinstance(value, list):
+        return tuple(_freeze(v) for v in value)
     if isinstance(value, np.ndarray):
         return (value.shape, value.dtype.str, value.tobytes())
     return value
@@ -144,7 +155,7 @@ class _Snapshot:
         self._rngs = rngs
         self._params = [(p, p.data.copy()) for p in optimizer.parameters]
         self._state = self._optimizer_state()
-        self._rng_states = [_freeze(rng.bit_generator.state) for rng in rngs]
+        self._rng_states = [rng.bit_generator.state for rng in rngs]  # copies
 
     def _optimizer_state(self) -> dict:
         opt = self._optimizer
@@ -173,8 +184,8 @@ class _Snapshot:
             opt._m.update({k: v.copy() for k, v in self._state["m"].items()})
             opt._v.update({k: v.copy() for k, v in self._state["v"].items()})
             opt._step_count = self._state["t"]
-        for rng, frozen in zip(self._rngs, self._rng_states):
-            rng.bit_generator.state = _unfreeze_rng(frozen)
+        for rng, state in zip(self._rngs, self._rng_states):
+            rng.bit_generator.state = state
 
     def matches(self, other: "_Snapshot") -> bool:
         if len(self._params) != len(other._params):
@@ -182,25 +193,8 @@ class _Snapshot:
         for (_, a), (_, b) in zip(self._params, other._params):
             if a.shape != b.shape or a.tobytes() != b.tobytes():
                 return False
-        return (_freeze_state(self._state) == _freeze_state(other._state)
-                and self._rng_states == other._rng_states)
-
-
-def _freeze_state(state: dict):
-    return tuple(sorted((k, _freeze(v)) for k, v in state.items()))
-
-
-def _unfreeze_rng(frozen):
-    """Invert :func:`_freeze` for a bit-generator state dict."""
-    def thaw(value):
-        if isinstance(value, tuple) and value and isinstance(value[0], tuple):
-            return {k: thaw(v) for k, v in value}
-        if (isinstance(value, tuple) and len(value) == 3
-                and isinstance(value[2], bytes)):
-            return np.frombuffer(value[2], dtype=np.dtype(value[1])).reshape(
-                value[0]).copy()
-        return value
-    return thaw(frozen)
+        return (_freeze(self._state) == _freeze(other._state)
+                and _freeze(self._rng_states) == _freeze(other._rng_states))
 
 
 def _buffer_like(array: np.ndarray) -> np.ndarray:
@@ -210,29 +204,71 @@ def _buffer_like(array: np.ndarray) -> np.ndarray:
     return np.empty(array.shape)
 
 
+def _position(items: list, target, what: str) -> int:
+    """The one index at which ``target`` (by identity) sits in ``items``."""
+    hits = [index for index, item in enumerate(items) if item is target]
+    if len(hits) != 1:
+        raise PlanUnsupported(f"{what} is not one slot of the bound model")
+    return hits[0]
+
+
 # -- replay kernels ----------------------------------------------------------
 #
 # Each kernel replays one recorded op's exact float operations into
 # preallocated buffers.  ``forward``/``backward``/``step`` are marked
 # with @replay_kernel: they must not allocate (lint rule REP012).
-# Parameter arrays are fetched via ``.data`` at call time so checkpoint
-# restores and flat-state re-adoption can never leave a kernel stale.
+# Kernels hold no model state: parameters, Dropout sources and the
+# optimizer come from the plan's :class:`_Binding` at call time.
+
+
+class _Binding:
+    """The model a plan's kernels run against during one replay."""
+
+    __slots__ = ("params", "sources", "optimizer")
+
+    def __init__(self):
+        self.params = self.sources = self.optimizer = None
+
+
+@replay_kernel
+def _sigmoid(x, scratch, out) -> None:
+    """``1 / (1 + exp(-clip(x, ±60)))`` — the ``Tensor.sigmoid`` ufuncs."""
+    np.clip(x, -60.0, 60.0, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    np.add(scratch, 1.0, out=scratch)
+    np.divide(1.0, scratch, out=out)
+
+
+@replay_kernel
+def _activation_backward(name, g, out, mask, scratch) -> None:
+    """Scale ``g`` in place by the derivative of activation ``name``."""
+    if name == "relu":
+        np.multiply(g, mask, out=g)
+    elif name == "tanh":
+        np.multiply(out, out, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        np.multiply(g, scratch, out=g)
+    elif name == "sigmoid":
+        np.subtract(1.0, out, out=scratch)
+        np.multiply(g, out, out=g)
+        np.multiply(g, scratch, out=g)
 
 
 class _LinearKernel:
     """``x @ W.T + b`` (+ fused activation) — mirrors ``fused_linear``."""
 
-    __slots__ = ("weight", "bias", "activation", "stacked", "windex",
-                 "bindex", "x", "out", "mask", "scratch", "g_out", "g_in",
-                 "w_scratch", "gw", "gb", "x_t", "out_t")
+    __slots__ = ("bound", "windex", "bindex", "activation", "stacked", "x",
+                 "out", "mask", "scratch", "g_out", "g_in", "w_scratch",
+                 "gw", "gb")
 
-    def __init__(self, x_buf, out_ref, weight, bias, activation, stacked):
-        self.weight = weight
-        self.bias = bias
+    def __init__(self, bound, windex, bindex, x_buf, out_ref, weight, bias,
+                 activation, stacked):
+        self.bound = bound
+        self.windex = windex
+        self.bindex = bindex
         self.activation = activation
         self.stacked = stacked
-        self.windex = -1
-        self.bindex = -1
         self.x = x_buf
         self.out = _buffer_like(out_ref)
         self.mask = (np.empty(out_ref.shape, dtype=bool)
@@ -247,10 +283,11 @@ class _LinearKernel:
 
     @replay_kernel
     def forward(self) -> None:
-        w = self.weight.data
+        params = self.bound.params
+        w = params[self.windex].data
         np.matmul(self.x, np.swapaxes(w, -1, -2), out=self.out)
-        if self.bias is not None:
-            b = self.bias.data
+        if self.bindex >= 0:
+            b = params[self.bindex].data
             np.add(self.out, b[:, None, :] if self.stacked else b,
                    out=self.out)
         if self.activation == "relu":
@@ -259,26 +296,14 @@ class _LinearKernel:
         elif self.activation == "tanh":
             np.tanh(self.out, out=self.out)
         elif self.activation == "sigmoid":
-            np.clip(self.out, -60.0, 60.0, out=self.scratch)
-            np.negative(self.scratch, out=self.scratch)
-            np.exp(self.scratch, out=self.scratch)
-            np.add(self.scratch, 1.0, out=self.scratch)
-            np.divide(1.0, self.scratch, out=self.out)
+            _sigmoid(self.out, self.scratch, self.out)
 
     @replay_kernel
     def backward(self) -> None:
         g = self.g_out
-        if self.activation == "relu":
-            np.multiply(g, self.mask, out=g)
-        elif self.activation == "tanh":
-            np.multiply(self.out, self.out, out=self.scratch)
-            np.subtract(1.0, self.scratch, out=self.scratch)
-            np.multiply(g, self.scratch, out=g)
-        elif self.activation == "sigmoid":
-            np.subtract(1.0, self.out, out=self.scratch)
-            np.multiply(g, self.out, out=g)
-            np.multiply(g, self.scratch, out=g)
-        w = self.weight.data
+        _activation_backward(self.activation, g, self.out, self.mask,
+                             self.scratch)
+        w = self.bound.params[self.windex].data
         if self.g_in is not None:
             np.matmul(g, w, out=self.g_in)
         # grad_W = (x.T @ g).T — matmul with the same operand layout as
@@ -292,8 +317,7 @@ class _LinearKernel:
 class _ActKernel:
     """A standalone activation — mirrors the ``Tensor`` method ops."""
 
-    __slots__ = ("name", "x", "out", "mask", "scratch", "g_out", "g_in",
-                 "x_t", "out_t")
+    __slots__ = ("name", "x", "out", "mask", "scratch", "g_out", "g_in")
 
     def __init__(self, name, x_buf, out_ref):
         self.name = name
@@ -317,39 +341,31 @@ class _ActKernel:
         elif self.name == "tanh":
             np.tanh(self.x, out=self.out)
         elif self.name == "sigmoid":
-            np.clip(self.x, -60.0, 60.0, out=self.scratch)
-            np.negative(self.scratch, out=self.scratch)
-            np.exp(self.scratch, out=self.scratch)
-            np.add(self.scratch, 1.0, out=self.scratch)
-            np.divide(1.0, self.scratch, out=self.out)
+            _sigmoid(self.x, self.scratch, self.out)
 
     @replay_kernel
     def backward(self) -> None:
         g = self.g_out
-        if self.name == "relu":
-            np.multiply(g, self.mask, out=g)
-        elif self.name == "tanh":
-            np.multiply(self.out, self.out, out=self.scratch)
-            np.subtract(1.0, self.scratch, out=self.scratch)
-            np.multiply(g, self.scratch, out=g)
-        elif self.name == "sigmoid":
-            np.subtract(1.0, self.out, out=self.scratch)
-            np.multiply(g, self.out, out=g)
-            np.multiply(g, self.scratch, out=g)
+        _activation_backward(self.name, g, self.out, self.mask, self.scratch)
         if self.g_in is not None:
             np.copyto(self.g_in, g)
 
 
 class _DropoutKernel:
-    """Inverted dropout drawing from the live generator(s) each replay."""
+    """Inverted dropout drawing from the bound generator(s) each replay.
 
-    __slots__ = ("p", "rng", "layers", "x", "out", "rand", "maskb", "maskf",
-                 "g_out", "g_in", "x_t", "out_t")
+    Its source is a generator for a single model, or the list of
+    per-model Dropout layers for a stack.
+    """
 
-    def __init__(self, p, rng, layers, x_buf, out_ref):
+    __slots__ = ("p", "bound", "dindex", "stacked", "x", "out", "rand",
+                 "maskb", "maskf", "g_out", "g_in")
+
+    def __init__(self, p, bound, dindex, stacked, x_buf, out_ref):
         self.p = p
-        self.rng = rng          # single-model capture
-        self.layers = layers    # stacked capture: one Dropout per model
+        self.bound = bound
+        self.dindex = dindex
+        self.stacked = stacked
         self.x = x_buf
         self.out = _buffer_like(out_ref)
         self.rand = np.empty(out_ref.shape)
@@ -360,11 +376,12 @@ class _DropoutKernel:
 
     @replay_kernel
     def forward(self) -> None:
-        if self.layers is None:
-            self.rng.random(out=self.rand)
-        else:
-            for index, layer in enumerate(self.layers):
+        source = self.bound.sources[self.dindex]
+        if self.stacked:
+            for index, layer in enumerate(source):
                 layer.rng.random(out=self.rand[index])
+        else:
+            source.random(out=self.rand)
         np.greater_equal(self.rand, self.p, out=self.maskb)
         np.copyto(self.maskf, self.maskb)
         np.divide(self.maskf, 1.0 - self.p, out=self.maskf)
@@ -461,7 +478,7 @@ class _CrossEntropyKernel:
 class _SoftmaxKernel:
     """The inference softmax chain (max → sub → exp → sum → log → sub → exp)."""
 
-    __slots__ = ("x", "out", "mx", "shifted", "x_t", "out_t")
+    __slots__ = ("x", "out", "mx", "shifted")
 
     def __init__(self, x_buf, out_ref):
         self.x = x_buf
@@ -483,19 +500,18 @@ class _SoftmaxKernel:
 class _StepKernel:
     """One optimizer step from plan gradient buffers, reference-exact."""
 
-    __slots__ = ("optimizer", "pairs", "is_adam")
+    __slots__ = ("bound", "grads")
 
-    def __init__(self, optimizer, pairs):
-        self.optimizer = optimizer
-        self.pairs = pairs  # [(parameter, grad buffer), ...]
-        self.is_adam = isinstance(optimizer, Adam)
+    def __init__(self, bound, grads):
+        self.bound = bound
+        self.grads = grads  # one gradient buffer per bound parameter
 
     @replay_kernel
     def step(self) -> None:
-        opt = self.optimizer
-        for parameter, grad in self.pairs:
+        opt = self.bound.optimizer
+        for parameter, grad in zip(self.bound.params, self.grads):
             parameter.grad = grad
-        if self.is_adam:
+        if isinstance(opt, Adam):
             opt._step_count += 1
             if _perf_config.inplace_optim and opt._flat_step():
                 return
@@ -509,17 +525,12 @@ class _StepKernel:
 # -- trace compilation -------------------------------------------------------
 
 
+#: Where each op descriptor keeps its input tensor (ce/sce: the logits).
+_INPUT_SLOT = {"act": 2, "softmax": 2, "dropout": 3, "sdropout": 3}
+
+
 def _op_input(op):
-    kind = op[0]
-    if kind in ("linear", "slinear", "flatten"):
-        return op[1]
-    if kind == "act":
-        return op[2]
-    if kind in ("dropout", "sdropout"):
-        return op[3]
-    if kind == "softmax":
-        return op[2]
-    return op[1]  # ce / sce: the logits tensor
+    return op[_INPUT_SLOT.get(op[0], 1)]
 
 
 def _op_struct(op) -> tuple:
@@ -531,11 +542,8 @@ def _op_struct(op) -> tuple:
                 activation, x_t.data.shape, out_t.data.shape)
     if kind == "act":
         return (kind, op[1], op[2].data.shape)
-    if kind == "dropout":
+    if kind in ("dropout", "sdropout"):
         return (kind, op[1], id(op[2]), op[3].data.shape)
-    if kind == "sdropout":
-        return (kind, op[1], tuple(id(layer) for layer in op[2]),
-                op[3].data.shape)
     if kind == "flatten":
         return (kind, op[1].data.shape, op[2].data.shape)
     if kind in ("ce", "sce"):
@@ -553,8 +561,13 @@ def _resolve(tensor_id: int, alias: dict) -> int:
     return tensor_id
 
 
-def _compile_forward(ops, x_shape):
-    """Kernels + buffer arena for a forward op chain starting at ``x_shape``."""
+def _compile_forward(ops, x_shape, bound, params, sources):
+    """Kernels + buffer arena for a forward op chain starting at ``x_shape``.
+
+    Also returns each kernel's traced ``(input, output)`` tensors, which
+    only :func:`_wire_backward` needs: the plan itself must not keep the
+    reference run's tensors alive.
+    """
     if not ops:
         raise PlanUnsupported("empty forward trace")
     x_buf = np.empty(x_shape)
@@ -564,7 +577,7 @@ def _compile_forward(ops, x_shape):
             f"entry shape {first_in.data.shape} != input {tuple(x_shape)}")
     buf_of = {id(first_in): x_buf}
     alias: dict[int, int] = {}
-    kernels = []
+    kernels, tensors = [], []
     for op in ops:
         kind = op[0]
         x_t = _op_input(op)
@@ -584,31 +597,35 @@ def _compile_forward(ops, x_shape):
             _, _x, weight, bias, activation, _o = op
             if activation not in (None, "relu", "tanh", "sigmoid"):
                 raise PlanUnsupported(f"activation {activation!r}")
-            kernel = _LinearKernel(x_b, out_t.data, weight, bias, activation,
-                                   stacked=(kind == "slinear"))
+            bindex = (-1 if bias is None
+                      else _position(params, bias, "linear bias"))
+            kernel = _LinearKernel(
+                bound, _position(params, weight, "linear weight"), bindex,
+                x_b, out_t.data, weight, bias, activation,
+                stacked=(kind == "slinear"))
         elif kind == "act":
             name = op[1]
             if name not in ("relu", "tanh", "sigmoid"):
                 raise PlanUnsupported(f"activation {name!r}")
             kernel = _ActKernel(name, x_b, out_t.data)
-        elif kind == "dropout":
-            kernel = _DropoutKernel(op[1], op[2], None, x_b, out_t.data)
-        elif kind == "sdropout":
-            kernel = _DropoutKernel(op[1], None, list(op[2]), x_b, out_t.data)
+        elif kind in ("dropout", "sdropout"):
+            kernel = _DropoutKernel(
+                op[1], bound, _position(sources, op[2], "dropout source"),
+                kind == "sdropout", x_b, out_t.data)
         else:
             raise PlanUnsupported(f"unsupported op {kind!r}")
-        kernel.x_t = x_t
-        kernel.out_t = out_t
         buf_of[id(out_t)] = kernel.out
         kernels.append(kernel)
-    return x_buf, kernels, buf_of, alias
+        tensors.append((x_t, out_t))
+    return x_buf, kernels, tensors, buf_of, alias
 
 
-def _wire_backward(kernels, x_buf, loss_kernel, logits_t, alias) -> None:
+def _wire_backward(kernels, tensors, x_buf, loss_kernel, logits_t,
+                   alias) -> None:
     """Connect gradient buffers in reverse order; entry grads are skipped."""
     grad_of = {_resolve(id(logits_t), alias): loss_kernel.g_logits}
-    for kernel in reversed(kernels):
-        g = grad_of.get(_resolve(id(kernel.out_t), alias))
+    for kernel, (x_t, out_t) in zip(reversed(kernels), reversed(tensors)):
+        g = grad_of.get(_resolve(id(out_t), alias))
         if g is None:
             raise PlanUnsupported("gradient chain broken")
         kernel.g_out = g
@@ -616,85 +633,96 @@ def _wire_backward(kernels, x_buf, loss_kernel, logits_t, alias) -> None:
             kernel.g_in = None  # nothing consumes the input gradient
         else:
             kernel.g_in = np.empty(kernel.x.shape)
-            source = _resolve(id(kernel.x_t), alias)
+            source = _resolve(id(x_t), alias)
             if source in grad_of:
                 raise PlanUnsupported("tensor consumed twice")
             grad_of[source] = kernel.g_in
 
 
+def _arena_nbytes(*parts) -> int:
+    """Bytes of the distinct arrays held by ``parts`` (buffers, kernels)."""
+    arrays = {}
+    for part in parts:
+        values = ([part] if isinstance(part, np.ndarray)
+                  else [getattr(part, name) for name in type(part).__slots__])
+        for value in values:
+            if isinstance(value, np.ndarray):
+                arrays[id(value)] = value.nbytes
+    return sum(arrays.values())
+
+
 class _FitPlan:
     """A compiled train step: forward, loss, backward, optimizer update."""
 
-    __slots__ = ("x_buf", "kernels", "loss", "step", "sgd_steps",
-                 "grads_in_order", "_lock")
+    __slots__ = ("bound", "x_buf", "kernels", "loss", "step", "sgd_steps",
+                 "nbytes")
 
-    def __init__(self, x_buf, kernels, loss_kernel, step_kernel, sgd_steps):
+    def __init__(self, bound, x_buf, kernels, loss_kernel, step_kernel,
+                 sgd_steps):
+        self.bound = bound
         self.x_buf = x_buf
         self.kernels = kernels
         self.loss = loss_kernel
         self.step = step_kernel
         self.sgd_steps = sgd_steps
-        self.grads_in_order = [grad for _, grad in step_kernel.pairs]
-        self._lock = threading.Lock()
+        self.nbytes = _arena_nbytes(x_buf, *kernels, loss_kernel)
 
-    def replay(self, xr: np.ndarray, labels: np.ndarray):
-        np.copyto(self.x_buf, xr)
-        loss = None
-        for _ in range(self.sgd_steps):
-            for kernel in self.kernels:
-                kernel.forward()
-            loss = self.loss.forward(labels)
-            self.loss.backward()
-            for kernel in reversed(self.kernels):
-                kernel.backward()
-            self.step.step()
-        return loss
-
-    def bind(self, stack, optimizer) -> None:
-        """Point the kernels at a rebuilt stack's parameters and optimizer.
-
-        The serving layer reconstructs each tenant group's ``ModelStack``
-        (fresh ``Parameter`` objects) every scheduling round; the cached
-        plan's buffers are shape-compatible by key, only the bindings
-        move.
-        """
-        params = stack.stacked_params
-        dropout_ops = [op for op in stack._plan
-                       if op[0] == "dropout" and op[1] > 0.0]
-        position = 0
-        for kernel in self.kernels:
-            if isinstance(kernel, _LinearKernel):
-                kernel.weight = params[kernel.windex]
-                kernel.bias = (params[kernel.bindex]
-                               if kernel.bindex >= 0 else None)
-            elif isinstance(kernel, _DropoutKernel):
-                kernel.layers = dropout_ops[position][2]
-                position += 1
-        self.step.optimizer = optimizer
-        self.step.is_adam = isinstance(optimizer, Adam)
-        self.step.pairs = list(zip(optimizer.parameters, self.grads_in_order))
+    def replay(self, params, sources, optimizer, xr: np.ndarray,
+               labels: np.ndarray):
+        """Run the step on any model whose structure matches the capturing
+        one: its parameters, Dropout sources and optimizer are bound for
+        this call only, so a cached plan keeps no model alive."""
+        bound = self.bound
+        bound.params, bound.sources, bound.optimizer = (params, sources,
+                                                        optimizer)
+        try:
+            np.copyto(self.x_buf, xr)
+            loss = None
+            for _ in range(self.sgd_steps):
+                for kernel in self.kernels:
+                    kernel.forward()
+                loss = self.loss.forward(labels)
+                self.loss.backward()
+                for kernel in reversed(self.kernels):
+                    kernel.backward()
+                self.step.step()
+            return loss
+        finally:
+            # The gradient buffers belong to the plan, which the next bound
+            # model overwrites: leave gradients cleared, as zero_grad does.
+            for parameter in params:
+                parameter.grad = None
+            bound.params = bound.sources = bound.optimizer = None
 
 
 class _ProbaPlan:
     """A compiled inference pass ending in the softmax chain."""
 
-    __slots__ = ("x_buf", "kernels", "softmax")
+    __slots__ = ("bound", "x_buf", "kernels", "softmax", "nbytes")
 
-    def __init__(self, x_buf, kernels, softmax_kernel):
+    def __init__(self, bound, x_buf, kernels, softmax_kernel):
+        self.bound = bound
         self.x_buf = x_buf
         self.kernels = kernels
         self.softmax = softmax_kernel
+        self.nbytes = _arena_nbytes(x_buf, *kernels, softmax_kernel)
 
-    def replay(self, xr: np.ndarray) -> np.ndarray:
-        np.copyto(self.x_buf, xr)
-        for kernel in self.kernels:
-            kernel.forward()
-        self.softmax.forward()
+    def replay(self, params, xr: np.ndarray) -> np.ndarray:
+        """Inference with ``params`` bound for this call only."""
+        self.bound.params = params
+        try:
+            np.copyto(self.x_buf, xr)
+            for kernel in self.kernels:
+                kernel.forward()
+            self.softmax.forward()
+        finally:
+            self.bound.params = None
         # Callers cache the result; the arena is rewritten next call.
         return self.softmax.out.copy()
 
 
-def _compile_fit(trace, optimizer, sgd_steps: int, x_shape, stacked: bool):
+def _compile_fit(trace, params, sources, optimizer, sgd_steps: int, x_shape,
+                 stacked: bool):
     """Compile a recorded ``fit`` trace into a :class:`_FitPlan`."""
     segments: list[list] = []
     segment: list = []
@@ -719,47 +747,42 @@ def _compile_fit(trace, optimizer, sgd_steps: int, x_shape, stacked: bool):
     loss_kind = "sce" if stacked else "ce"
     if not first or first[-1][0] != loss_kind:
         raise PlanUnsupported("trace does not end in the expected loss")
-    loss_op = first[-1]
-    logits_t = loss_op[1]
-    x_buf, kernels, buf_of, alias = _compile_forward(first[:-1], x_shape)
+    logits_t = first[-1][1]
+    bound = _Binding()
+    x_buf, kernels, tensors, buf_of, alias = _compile_forward(
+        first[:-1], x_shape, bound, params, sources)
     logits_buf = buf_of.get(id(logits_t))
     if logits_buf is None:
         raise PlanUnsupported("loss input not produced by the plan")
     loss_kernel = _CrossEntropyKernel(logits_buf, logits_t.data, stacked)
-    _wire_backward(kernels, x_buf, loss_kernel, logits_t, alias)
+    _wire_backward(kernels, tensors, x_buf, loss_kernel, logits_t, alias)
 
-    index_of = {id(p): i for i, p in enumerate(optimizer.parameters)}
+    if (len(optimizer.parameters) != len(params)
+            or any(a is not b for a, b in zip(optimizer.parameters, params))):
+        raise PlanUnsupported("optimizer does not own exactly the parameters")
     grads: dict[int, np.ndarray] = {}
     for kernel in kernels:
         if not isinstance(kernel, _LinearKernel):
             continue
-        if id(kernel.weight) in grads:
-            raise PlanUnsupported("tied parameters")
-        grads[id(kernel.weight)] = kernel.gw
-        kernel.windex = index_of.get(id(kernel.weight), -1)
-        if kernel.bias is not None:
-            if id(kernel.bias) in grads:
+        for index, grad in ((kernel.windex, kernel.gw),
+                            (kernel.bindex, kernel.gb)):
+            if index < 0:
+                continue
+            if index in grads:
                 raise PlanUnsupported("tied parameters")
-            grads[id(kernel.bias)] = kernel.gb
-            kernel.bindex = index_of.get(id(kernel.bias), -1)
-            if kernel.bindex < 0:
-                raise PlanUnsupported("linear parameter outside the optimizer")
-        if kernel.windex < 0:
-            raise PlanUnsupported("linear parameter outside the optimizer")
-    pairs = []
-    for parameter in optimizer.parameters:
-        grad = grads.pop(id(parameter), None)
-        if grad is None:
-            raise PlanUnsupported("optimizer parameter without a gradient")
-        pairs.append((parameter, grad))
-    if grads:
-        raise PlanUnsupported("gradient for a non-optimizer parameter")
-    step_kernel = _StepKernel(optimizer, pairs)
-    return _FitPlan(x_buf, kernels, loss_kernel, step_kernel, sgd_steps)
+            grads[index] = grad
+    if len(grads) != len(params):
+        raise PlanUnsupported("optimizer parameter without a gradient")
+    step_kernel = _StepKernel(bound, [grads[i] for i in range(len(params))])
+    return _FitPlan(bound, x_buf, kernels, loss_kernel, step_kernel,
+                    sgd_steps)
 
 
-def _compile_proba(trace, x_shape):
-    """Compile a recorded inference trace into a :class:`_ProbaPlan`."""
+def _compile_proba(trace, params, x_shape):
+    """Compile a recorded inference trace into a :class:`_ProbaPlan`.
+
+    Inference runs in eval mode, so there is no Dropout source to bind.
+    """
     ops = trace.ops
     if not ops or ops[-1][0] != "softmax":
         raise PlanUnsupported("trace does not end in softmax")
@@ -768,25 +791,29 @@ def _compile_proba(trace, x_shape):
         raise PlanUnsupported(f"softmax axis {axis}")
     if len(ops) == 1:
         raise PlanUnsupported("empty forward trace")
-    x_buf, kernels, buf_of, _alias = _compile_forward(ops[:-1], x_shape)
+    bound = _Binding()
+    x_buf, kernels, _tensors, buf_of, _alias = _compile_forward(
+        ops[:-1], x_shape, bound, params, ())
     logits_buf = buf_of.get(id(sm_in))
     if logits_buf is None:
         raise PlanUnsupported("softmax input not produced by the plan")
-    return _ProbaPlan(x_buf, kernels, _SoftmaxKernel(logits_buf, sm_out.data))
+    return _ProbaPlan(bound, x_buf, kernels,
+                      _SoftmaxKernel(logits_buf, sm_out.data))
 
 
-# -- per-model plan cache ----------------------------------------------------
+# -- the plan cache ----------------------------------------------------------
 
 _UNSUPPORTED = object()
 
 
-class _PlanSet:
-    """Small LRU of plans per model (one entry per signature)."""
+class _PlanCache:
+    """One thread's LRU of plans (and unsupported markers) by key."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "arena_bytes", "__weakref__")
 
     def __init__(self):
         self.entries: OrderedDict = OrderedDict()
+        self.arena_bytes = 0
 
     def get(self, key):
         entry = self.entries.get(key)
@@ -794,45 +821,156 @@ class _PlanSet:
             self.entries.move_to_end(key)
         return entry
 
-    def put(self, key, value) -> None:
-        self.entries[key] = value
-        self.entries.move_to_end(key)
-        while len(self.entries) > _PLAN_SET_CAP:
-            self.entries.popitem(last=False)
+    def put(self, key, entry) -> None:
+        self.entries[key] = entry
+        self.arena_bytes += getattr(entry, "nbytes", 0)
+        while len(self.entries) > _CACHE_CAP:
+            _, evicted = self.entries.popitem(last=False)
+            self.arena_bytes -= getattr(evicted, "nbytes", 0)
             _notify("invalidate")
 
     def clear(self) -> int:
         count = len(self.entries)
         self.entries.clear()
+        self.arena_bytes = 0
         return count
 
 
-def invalidate_plans(model) -> None:
-    """Drop a model's cached plans (called on checkpoint restore)."""
-    plans = getattr(model, "_plans", None)
-    if plans is None:
-        return
-    for _ in range(plans.clear()):
+_local = threading.local()
+#: Every live thread's cache, for the :func:`plan_cache_stats` gauges.
+_CACHES: weakref.WeakSet = weakref.WeakSet()
+_CACHES_LOCK = threading.Lock()
+
+
+def _cache() -> _PlanCache:
+    cache = getattr(_local, "cache", None)
+    if cache is None:
+        cache = _local.cache = _PlanCache()
+        with _CACHES_LOCK:
+            _CACHES.add(cache)
+    return cache
+
+
+def clear_plans() -> None:
+    """Drop the calling thread's cached plans (tests, benchmarks)."""
+    for _ in range(_cache().clear()):
         _notify("invalidate")
 
 
-def _plan_set(model):
-    plans = getattr(model, "_plans", None)
-    if plans is None:
-        if not model._plan_eligible():
-            return None
-        plans = _PlanSet()
-        model._plans = plans
-    return plans
+# -- model structure ---------------------------------------------------------
+
+#: module → (structure id, parameters, Dropout layers); see _structure.
+_STRUCTURES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_STRUCTURE_IDS: dict = {}
+_STRUCTURE_LOCK = threading.Lock()
+_SCALARS = (bool, int, float, str, type(None))
 
 
-def _model_rngs(module) -> list:
-    return [m.rng for m in module.modules() if isinstance(m, Dropout)]
+def _layer_spec(layer) -> tuple:
+    """One module's own structure: type, scalar attributes, parameters."""
+    hyper = tuple((name, value) for name, value in vars(layer).items()
+                  if name != "training" and isinstance(value, _SCALARS))
+    params = tuple((name, p.data.shape, p.data.dtype.str)
+                   for name, p in layer._parameters.items())
+    return (type(layer), hyper, params)
 
 
-def _count_replay() -> None:
-    with _STATS_LOCK:
-        _STATS["replay"] += 1
+def _structure(model) -> tuple:
+    """``(structure key, parameters, Dropout layers)`` for ``model``.
+
+    The module tree's fingerprint (weights excluded) is interned to an
+    id and memoized per module object, with the lists a plan binds to in
+    ``parameters()``/``modules()`` order: ``load_state_dict`` replaces
+    arrays, never layers or parameters.
+    """
+    module = model.module
+    found = _STRUCTURES.get(module)
+    if found is None:
+        layers = list(module.modules())
+        tree = tuple(_layer_spec(layer) for layer in layers)
+        with _STRUCTURE_LOCK:
+            ident = _STRUCTURE_IDS.setdefault(tree, len(_STRUCTURE_IDS))
+            found = (ident, module.parameters(),
+                     [layer for layer in layers if isinstance(layer, Dropout)])
+            _STRUCTURES[module] = found
+    ident, params, dropouts = found
+    return ((ident, type(model), type(model.optimizer), model.sgd_steps),
+            params, dropouts)
+
+
+# -- capture and replay ------------------------------------------------------
+
+
+def _capturing() -> bool:
+    """Whether a capture is active on this thread (plans must not nest)."""
+    return bool(_record.ACTIVE) and _record.current() is not None
+
+
+def _replay(plan, *args):
+    """``plan.replay(*args)``, counted (and timed while hooks listen)."""
+    start = perf_counter() if _HOOKS else 0.0
+    result = plan.replay(*args)
+    if _HOOKS:
+        _notify("replay", perf_counter() - start)
+    else:
+        with _STATS_LOCK:
+            _STATS["replay"] += 1
+    return result
+
+
+def _reject(cache, key, result):
+    """Mark ``key`` unsupported on this thread; the reference result stands."""
+    cache.put(key, _UNSUPPORTED)
+    _notify("unsupported")
+    return result
+
+
+def _loss_bytes(loss) -> bytes:
+    return np.asarray(loss, dtype=np.float64).tobytes()
+
+
+def _fit(key, params, sources, rngs, optimizer, xr, labels, sgd_steps,
+         reference, stacked):
+    """Replay ``key``'s plan, or capture it by running ``reference()``.
+
+    Returns the loss(es), or ``None`` when the key is unsupported and the
+    caller must run the reference path itself.
+    """
+    cache = _cache()
+    plan = cache.get(key)
+    if plan is _UNSUPPORTED:
+        return None
+    if plan is not None:
+        return _replay(plan, params, sources, optimizer, xr, labels)
+    # Capture: trace + compile + verify; always advances state once.
+    pre = _Snapshot(optimizer, rngs)
+    trace = _record.Trace()
+    start = perf_counter()
+    with _record.capturing(trace):
+        loss_ref = reference()
+    if not trace.ok:
+        return _reject(cache, key, loss_ref)
+    post = _Snapshot(optimizer, rngs)
+    try:
+        plan = _compile_fit(trace, params, sources, optimizer, sgd_steps,
+                            xr.shape, stacked)
+    except Exception:  # repro: noqa[REP004] — any compile failure means fall back, not crash training
+        return _reject(cache, key, loss_ref)
+    # Trial replay from the pre-capture state: it must land bit-for-bit
+    # on the reference run's post state before the plan may be cached.
+    pre.restore()
+    loss_plan = None
+    try:
+        loss_plan = plan.replay(params, sources, optimizer, xr, labels)
+    except Exception:  # repro: noqa[REP004] — trial replay failure → plan rejected below
+        pass
+    if (loss_plan is None or not _Snapshot(optimizer, rngs).matches(post)
+            or _loss_bytes(loss_plan) != _loss_bytes(loss_ref)):
+        post.restore()
+        return _reject(cache, key, loss_ref)
+    cache.put(key, plan)
+    _notify("capture", perf_counter() - start)
+    return loss_plan
 
 
 # -- model-facing entry points ----------------------------------------------
@@ -846,154 +984,57 @@ def fit_with_plan(model, x, y):
     capture already active on this thread).  ``y`` is the already
     validated int64 label vector from ``partial_fit``.
     """
-    if _record.ACTIVE and _record.current() is not None:
-        return None
-    plans = _plan_set(model)
-    if plans is None:
-        return None
     n = len(x)
-    if n == 0:
+    if n == 0 or _capturing() or not model._plan_eligible():
         return None
     xr = np.asarray(x, dtype=float)
-    key = ("fit", n, xr.size // n, bool(model.module.training),
-           model.sgd_steps)
-    entry = plans.get(key)
-    if entry is _UNSUPPORTED:
-        return None
-    if entry is None:
-        return _capture_fit(model, plans, key, x, y)
-    start = perf_counter() if _HOOKS else 0.0
-    loss = entry.replay(xr.reshape(n, -1), y)
-    if _HOOKS:
-        _notify("replay", perf_counter() - start)
-    else:
-        _count_replay()
-    return float(loss)
-
-
-def _capture_fit(model, plans, key, x, y):
-    """Trace + compile + verify; always advances state exactly once."""
-    optimizer = model.optimizer
-    rngs = _model_rngs(model.module)
-    pre = _Snapshot(optimizer, rngs)
-    trace = _record.Trace()
-    start = perf_counter()
-    with _record.capturing(trace):
-        loss_ref = model._fit_steps(x, y)
-    if not trace.ok:
-        plans.put(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return loss_ref
-    post = _Snapshot(optimizer, rngs)
-    xr = np.asarray(x, dtype=float).reshape(len(x), -1)
-    try:
-        plan = _compile_fit(trace, optimizer, model.sgd_steps, xr.shape,
-                            stacked=False)
-    except Exception:  # repro: noqa[REP004] — any compile failure means fall back, not crash training
-        plans.put(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return loss_ref
-    # Trial replay from the pre-capture state: it must land bit-for-bit
-    # on the reference run's post state before the plan may be cached.
-    pre.restore()
-    loss_plan = None
-    try:
-        loss_plan = plan.replay(xr, y)
-    except Exception:  # repro: noqa[REP004] — trial replay failure → plan rejected below
-        pass
-    now = _Snapshot(optimizer, rngs)
-    if (loss_plan is None or not now.matches(post)
-            or np.float64(loss_plan).tobytes()
-            != np.float64(loss_ref).tobytes()):
-        post.restore()
-        plans.put(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return loss_ref
-    plans.put(key, plan)
-    _notify("capture", perf_counter() - start)
-    return float(loss_plan)
+    structure, params, dropouts = _structure(model)
+    key = ("fit", structure, n, xr.size // n, model.module.training,
+           tuple([layer.training for layer in dropouts]))
+    rngs = [layer.rng for layer in dropouts]
+    loss = _fit(key, params, rngs, rngs, model.optimizer, xr.reshape(n, -1),
+                y, model.sgd_steps, lambda: model._fit_steps(x, y),
+                stacked=False)
+    return None if loss is None else float(loss)
 
 
 def proba_with_plan(model, x):
     """Class probabilities via a captured plan; ``None`` → reference path."""
-    if _record.ACTIVE and _record.current() is not None:
-        return None
-    plans = _plan_set(model)
-    if plans is None:
-        return None
     n = len(x)
-    if n == 0:
+    if n == 0 or _capturing() or not model._plan_eligible():
         return None
     xr = np.asarray(x, dtype=float)
-    key = ("proba", n, xr.size // n)
-    entry = plans.get(key)
-    if entry is _UNSUPPORTED:
+    structure, params, _dropouts = _structure(model)
+    key = ("proba", structure, n, xr.size // n)
+    xr = xr.reshape(n, -1)
+    cache = _cache()
+    plan = cache.get(key)
+    if plan is _UNSUPPORTED:
         return None
-    if entry is None:
-        return _capture_proba(model, plans, key, x)
-    start = perf_counter() if _HOOKS else 0.0
-    result = entry.replay(xr.reshape(n, -1))
-    # The reference path leaves the module in train mode unconditionally.
-    model.module.train()
-    if _HOOKS:
-        _notify("replay", perf_counter() - start)
-    else:
-        _count_replay()
-    return result
-
-
-def _capture_proba(model, plans, key, x):
+    if plan is not None:
+        result = _replay(plan, params, xr)
+        # The reference path leaves the module in train mode unconditionally.
+        model.module.train()
+        return result
     trace = _record.Trace()
     start = perf_counter()
     with _record.capturing(trace):
         out_ref = model._forward_proba(x)
     if not trace.ok:
-        plans.put(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return out_ref
-    xr = np.asarray(x, dtype=float).reshape(len(x), -1)
+        return _reject(cache, key, out_ref)
     out_plan = None
     try:
-        plan = _compile_proba(trace, xr.shape)
-        out_plan = plan.replay(xr)
+        plan = _compile_proba(trace, params, xr.shape)
+        out_plan = plan.replay(params, xr)
         model.module.train()
     except Exception:  # repro: noqa[REP004] — compile/replay failure → plan rejected below
         pass
     if (out_plan is None or out_plan.shape != out_ref.shape
             or out_plan.tobytes() != out_ref.tobytes()):
-        plans.put(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return out_ref
-    plans.put(key, plan)
+        return _reject(cache, key, out_ref)
+    cache.put(key, plan)
     _notify("capture", perf_counter() - start)
     return out_plan
-
-
-# -- stacked (multi-tenant) plans --------------------------------------------
-
-_STACKED_PLANS: OrderedDict = OrderedDict()
-_STACKED_LOCK = threading.Lock()
-
-
-def clear_stacked_plans() -> None:
-    """Drop every cached stacked plan (tests, config resets)."""
-    with _STACKED_LOCK:
-        count = len(_STACKED_PLANS)
-        _STACKED_PLANS.clear()
-    for _ in range(count):
-        _notify("invalidate")
-
-
-def _put_stacked(key, value) -> None:
-    evicted = 0
-    with _STACKED_LOCK:
-        _STACKED_PLANS[key] = value
-        _STACKED_PLANS.move_to_end(key)
-        while len(_STACKED_PLANS) > _STACKED_CAP:
-            _STACKED_PLANS.popitem(last=False)
-            evicted += 1
-    for _ in range(evicted):
-        _notify("invalidate")
 
 
 def stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps, reference):
@@ -1001,72 +1042,17 @@ def stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps, reference):
 
     ``xs``/``ys`` arrive already reshaped to ``(models, batch, features)``
     / ``(models, batch)``; ``reference`` is the uncaptured step loop,
-    passed in to keep this module import-cycle-free.  The cache is
-    global and keyed by architecture + shapes, so the serving layer's
-    per-round stack rebuilds hit the same plan via :meth:`_FitPlan.bind`.
+    passed in to keep this module import-cycle-free.  The key is the
+    stack's architecture plus shapes, so the serving layer's per-round
+    stack rebuilds replay the same plan, bound to each new stack.
     """
-    if _record.ACTIVE and _record.current() is not None:
+    if _capturing():
         return None
-    kind = "adam" if isinstance(optimizer, Adam) else "sgd"
-    key = (stack.key, stack.num_models, xs.shape, sgd_steps, kind,
-           bool(stack.training))
-    with _STACKED_LOCK:
-        entry = _STACKED_PLANS.get(key)
-        if entry is not None:
-            _STACKED_PLANS.move_to_end(key)
-    if entry is _UNSUPPORTED:
-        return None
-    if entry is None:
-        return _capture_stacked(stack, optimizer, key, xs, ys, sgd_steps,
-                                reference)
-    if not entry._lock.acquire(blocking=False):
-        return None  # another thread owns these buffers right now
-    try:
-        entry.bind(stack, optimizer)
-        start = perf_counter() if _HOOKS else 0.0
-        losses = entry.replay(xs, ys)
-        if _HOOKS:
-            _notify("replay", perf_counter() - start)
-        else:
-            _count_replay()
-        return losses.copy()
-    finally:
-        entry._lock.release()
-
-
-def _capture_stacked(stack, optimizer, key, xs, ys, sgd_steps, reference):
-    rngs = [layer.rng for op in stack._plan if op[0] == "dropout"
-            for layer in op[2]]
-    pre = _Snapshot(optimizer, rngs)
-    trace = _record.Trace()
-    start = perf_counter()
-    with _record.capturing(trace):
-        losses_ref = reference(stack, optimizer, xs, ys, sgd_steps)
-    if not trace.ok:
-        _put_stacked(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return losses_ref
-    post = _Snapshot(optimizer, rngs)
-    try:
-        plan = _compile_fit(trace, optimizer, sgd_steps, xs.shape,
-                            stacked=True)
-    except Exception:  # repro: noqa[REP004] — any compile failure means fall back, not crash training
-        _put_stacked(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return losses_ref
-    pre.restore()
-    losses_plan = None
-    try:
-        losses_plan = plan.replay(xs, ys)
-    except Exception:  # repro: noqa[REP004] — trial replay failure → plan rejected below
-        pass
-    now = _Snapshot(optimizer, rngs)
-    if (losses_plan is None or not now.matches(post)
-            or losses_plan.tobytes() != losses_ref.tobytes()):
-        post.restore()
-        _put_stacked(key, _UNSUPPORTED)
-        _notify("unsupported")
-        return losses_ref
-    _put_stacked(key, plan)
-    _notify("capture", perf_counter() - start)
-    return losses_plan.copy()
+    key = ("stacked", stack.key, stack.num_models, xs.shape, sgd_steps,
+           type(optimizer), bool(stack.training))
+    sources = [op[2] for op in stack._plan if op[0] == "dropout"]
+    rngs = [layer.rng for layers in sources for layer in layers]
+    losses = _fit(key, stack.stacked_params, sources, rngs, optimizer, xs, ys,
+                  sgd_steps, lambda: reference(stack, optimizer, xs, ys,
+                                               sgd_steps), stacked=True)
+    return None if losses is None else losses.copy()

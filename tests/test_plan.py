@@ -5,8 +5,15 @@ indistinguishable** from the define-by-run reference — same losses, same
 probabilities, same parameters, same optimizer state, same Dropout RNG
 stream.  These tests hold that line across the invalidation matrix
 (shape changes, checkpoint restores mid-momentum, train/eval flips,
-mid-stream flag toggles) and then fuzz it over random architectures.
+mid-stream flag toggles), across models that share one cached plan
+(different weights, restored checkpoints, rehydrated serving tenants,
+replica threads), and then fuzz it over random architectures.
 """
+
+import gc
+import pickle
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +27,31 @@ from repro.models.mlp import StreamingMLP
 from repro.nn import plan as nn_plan
 from repro.obs import Observability
 from repro.perf import HotPathProfiler, configure
+
+
+@pytest.fixture(autouse=True)
+def cold_plan_cache():
+    """Every test starts from an empty plan cache on this thread."""
+    nn_plan.clear_plans()
+    yield
+    nn_plan.clear_plans()
+
+
+def cached(kind=None):
+    """This thread's cached entries (plans and unsupported markers)."""
+    entries = nn_plan._cache().entries
+    return [entry for key, entry in entries.items()
+            if kind is None or key[0] == kind]
+
+
+def events_during(run):
+    """``run()``'s result and the plan events (capture/replay/...) it made."""
+    before = nn_plan.plan_cache_stats()
+    result = run()
+    after = nn_plan.plan_cache_stats()
+    return result, {event: after.get(event, 0) - before.get(event, 0)
+                    for event in ("capture", "replay", "invalidate",
+                                  "unsupported")}
 
 
 def make_batches(num_batches, batch_size, num_features, num_classes, seed=0):
@@ -86,8 +118,8 @@ class TestBitwiseEquivalence:
         assert_bitwise_equal(with_plans, reference, results_on[0],
                              results_off[0], results_on[1], results_off[1])
         # The plan actually replayed — this was not a silent fallback.
-        assert any(entry is not nn_plan._UNSUPPORTED
-                   for entry in with_plans._plans.entries.values())
+        assert cached("fit") and cached("proba")
+        assert all(entry is not nn_plan._UNSUPPORTED for entry in cached())
 
     def test_dropout_rng_stream_advances_identically(self):
         batches = make_batches(8, 8, 6, 2)
@@ -133,10 +165,9 @@ class TestInvalidationMatrix:
             assert np.float64(loss_plan).tobytes() == \
                 np.float64(loss_ref).tobytes()
         # Three distinct fit signatures -> three cached fit plans.
-        fit_keys = [key for key in model._plans.entries if key[0] == "fit"]
-        assert len(fit_keys) == 3
+        assert len(cached("fit")) == 3
 
-    def test_checkpoint_restore_mid_momentum_invalidates(self):
+    def test_checkpoint_restore_mid_momentum_replays_without_recapture(self):
         batches = make_batches(10, 8, 5, 2, seed=7)
         model = StreamingMLP(num_features=5, num_classes=2, seed=2,
                              momentum=0.9)
@@ -149,8 +180,11 @@ class TestInvalidationMatrix:
         run_stream(reference, batches[4:7], plans_on=False)
         model.load_state_dict(checkpoint)
         reference.load_state_dict(checkpoint)
-        assert len(model._plans.entries) == 0  # dropped on restore
-        results_on = run_stream(model, batches[7:], plans_on=True)
+        # The restored arrays are bound at replay time: nothing recaptures.
+        results_on, events = events_during(
+            lambda: run_stream(model, batches[7:], plans_on=True))
+        assert events["capture"] == 0 and events["invalidate"] == 0
+        assert events["replay"] == 2 * len(batches[7:])
         results_off = run_stream(reference, batches[7:], plans_on=False)
         assert_bitwise_equal(model, reference, results_on[0], results_off[0],
                              results_on[1], results_off[1])
@@ -169,8 +203,7 @@ class TestInvalidationMatrix:
                 loss_ref = reference.partial_fit(x, y)
             assert np.float64(loss_plan).tobytes() == \
                 np.float64(loss_ref).tobytes()
-        fit_keys = [key for key in model._plans.entries if key[0] == "fit"]
-        assert len(fit_keys) == 2  # train-mode plan and eval-mode plan
+        assert len(cached("fit")) == 2  # train-mode plan and eval-mode plan
 
     def test_flag_toggle_mid_stream(self):
         batches = make_batches(9, 8, 5, 2, seed=11)
@@ -191,12 +224,20 @@ class TestInvalidationMatrix:
     def test_plan_set_is_bounded_lru(self):
         model = StreamingLR(num_features=4, num_classes=2, seed=0)
         rng = np.random.default_rng(0)
-        with configure(plan_capture=True):
-            for size in range(2, 2 + nn_plan._PLAN_SET_CAP + 4):
-                x = rng.normal(size=(size, 4))
-                y = rng.integers(0, 2, size)
-                model.partial_fit(x, y)
-        assert len(model._plans.entries) <= nn_plan._PLAN_SET_CAP
+
+        def fill():
+            with configure(plan_capture=True):
+                for size in range(2, 2 + nn_plan._CACHE_CAP + 4):
+                    x = rng.normal(size=(size, 4))
+                    y = rng.integers(0, 2, size)
+                    model.partial_fit(x, y)
+
+        _, events = events_during(fill)
+        assert len(cached()) == nn_plan._CACHE_CAP
+        assert events["capture"] == nn_plan._CACHE_CAP + 4
+        assert events["invalidate"] == 4  # the LRU evicted the overflow
+        # The least recently used signatures went first.
+        assert min(key[2] for key in nn_plan._cache().entries) == 6
 
 
 # -- eligibility and fallback -------------------------------------------------
@@ -227,17 +268,36 @@ class TestFallback:
             model.partial_fit(x, y)
         assert not hasattr(model, "_plans")
 
-    def test_pickling_drops_plans(self):
-        import pickle
+    def test_ineligible_models_leave_the_cache_untouched(self):
+        class WeirdPrepare(StreamingLR):
+            def _prepare(self, x):
+                return nn.Tensor(np.asarray(x, dtype=float) * 2.0)
 
+        class FobosLR(StreamingLR):
+            def _make_optimizer(self):
+                return nn.FOBOS(self.module.parameters(), lr=0.05)
+
+        batches = make_batches(3, 6, 4, 2)
+        _, events = events_during(lambda: [
+            run_stream(cls(num_features=4, num_classes=2, seed=0), batches,
+                       plans_on=True) for cls in (WeirdPrepare, FobosLR)])
+        assert not cached()
+        assert events == dict.fromkeys(events, 0)
+
+    def test_pickling_drops_plans(self):
         model = StreamingLR(num_features=4, num_classes=2, seed=0)
         batches = make_batches(3, 8, 4, 2)
         run_stream(model, batches, plans_on=True)
-        assert hasattr(model, "_plans")
-        clone = pickle.loads(pickle.dumps(model))
-        assert not hasattr(clone, "_plans")
-        # The revived model still trains, and captures fresh plans.
-        results_a = run_stream(clone, batches, plans_on=True)
+        assert cached("fit")
+        # Plans live in the cache, not on the model: the pickle carries
+        # no object of the plan engine.
+        blob = pickle.dumps(model)
+        assert b"repro.nn.plan" not in blob
+        clone = pickle.loads(blob)
+        # The revived model replays the cached plans, bound to its copies.
+        results_a, events = events_during(
+            lambda: run_stream(clone, batches, plans_on=True))
+        assert events["capture"] == 0 and events["replay"] == 6
         reference = pickle.loads(pickle.dumps(model))
         results_b = run_stream(reference, batches, plans_on=False)
         assert_bitwise_equal(clone, reference, results_a[0], results_b[0],
@@ -257,7 +317,7 @@ class TestStackedPlans:
         return models, stack, optimizer
 
     def test_stacked_fit_replay_is_bitwise(self):
-        nn_plan.clear_stacked_plans()
+        nn_plan.clear_plans()
         rng = np.random.default_rng(8)
         steps = [(rng.normal(size=(4, 8, 6)), rng.integers(0, 3, (4, 8)))
                  for _ in range(8)]
@@ -278,12 +338,12 @@ class TestStackedPlans:
         for state_a, state_b in zip(states_on, states_off):
             for key in state_a:
                 assert state_a[key].tobytes() == state_b[key].tobytes()
-        nn_plan.clear_stacked_plans()
+        nn_plan.clear_plans()
 
     def test_stacked_plan_survives_rebinding_to_new_fleet(self):
         # Two different fleets with the same signature share one cached
         # plan; bind() must rebind parameters, not leak the first fleet's.
-        nn_plan.clear_stacked_plans()
+        nn_plan.clear_plans()
         rng = np.random.default_rng(9)
         xs = rng.normal(size=(3, 8, 6))
         ys = rng.integers(0, 3, (3, 8))
@@ -306,7 +366,7 @@ class TestStackedPlans:
             state_b, state_ref = model_b.state_dict(), model_ref.state_dict()
             for key in state_b:
                 assert state_b[key].tobytes() == state_ref[key].tobytes()
-        nn_plan.clear_stacked_plans()
+        nn_plan.clear_plans()
 
 
 # -- telemetry ----------------------------------------------------------------
@@ -333,6 +393,20 @@ class TestPlanTelemetry:
         assert events[(("event", "capture"),)] >= 1
         assert events[(("event", "replay"),)] >= 3
 
+    def test_stats_gauge_entries_and_arena_bytes(self):
+        model = StreamingMLP(num_features=6, num_classes=3, seed=0)
+        run_stream(model, make_batches(2, 8, 6, 3), plans_on=True)
+        warm = nn_plan.plan_cache_stats()
+        plans = cached()
+        assert len(plans) == 2  # one fit plan, one proba plan
+        arena = sum(plan.nbytes for plan in plans)
+        # x (8x6), hidden activations and grads (8x64), W1 grad (64x6), …
+        assert arena > 8 * (8 * 6 + 2 * 8 * 64 + 64 * 6)
+        nn_plan.clear_plans()
+        cold = nn_plan.plan_cache_stats()
+        assert warm["entries"] - cold["entries"] == 2
+        assert warm["arena_bytes"] - cold["arena_bytes"] == arena
+
     def test_stats_count_replays_without_hooks(self):
         before = nn_plan.plan_cache_stats().get("replay", 0)
         model = StreamingLR(num_features=4, num_classes=2, seed=0)
@@ -357,16 +431,246 @@ class TestPlanFuzz:
         num_features, num_classes = 6, 3
         batches = make_batches(5, batch_size, num_features, num_classes,
                                seed=seed)
-        if hidden:
-            build = lambda: StreamingMLP(  # noqa: E731
+
+        def build(model_seed):
+            if hidden:
+                return StreamingMLP(
+                    num_features=num_features, num_classes=num_classes,
+                    hidden=tuple(hidden), seed=model_seed, momentum=momentum)
+            return StreamingLR(
                 num_features=num_features, num_classes=num_classes,
-                hidden=tuple(hidden), seed=seed, momentum=momentum)
-        else:
-            build = lambda: StreamingLR(  # noqa: E731
-                num_features=num_features, num_classes=num_classes,
-                seed=seed, momentum=momentum)
-        with_plans, reference = build(), build()
+                seed=model_seed, momentum=momentum)
+
+        with_plans, reference = build(seed), build(seed)
         results_on = run_stream(with_plans, batches, plans_on=True)
         results_off = run_stream(reference, batches, plans_on=False)
         assert_bitwise_equal(with_plans, reference, results_on[0],
                              results_off[0], results_on[1], results_off[1])
+        # A second model of the same architecture replays the plans the
+        # first one captured, bound to its own weights.
+        second, second_ref = build(seed + 1), build(seed + 1)
+        results_on, events = events_during(
+            lambda: run_stream(second, batches, plans_on=True))
+        assert events["capture"] == 0
+        assert events["replay"] == 2 * len(batches)
+        results_off = run_stream(second_ref, batches, plans_on=False)
+        assert_bitwise_equal(second, second_ref, results_on[0],
+                             results_off[0], results_on[1], results_off[1])
+
+
+# -- one plan, many models ----------------------------------------------------
+
+
+class AdamDropoutMLP(DropoutMLP):
+    name = "adam-dropout-mlp"
+
+    def _make_optimizer(self):
+        return nn.Adam(self.module.parameters(), lr=0.01)
+
+
+def dropout_rngs(model):
+    return [m.rng for m in model.module.modules() if isinstance(m, nn.Dropout)]
+
+
+def make_tenant_learner(_tenant=""):
+    from repro.core.learner import Learner
+
+    return Learner(lambda: StreamingMLP(num_features=6, num_classes=3,
+                                        seed=0),
+                   num_models=1, window_batches=4, seed=0)
+
+
+class TestSharedPlans:
+    @pytest.mark.parametrize("cls, kwargs", [(DropoutMLP, {"momentum": 0.9}),
+                                             (AdamDropoutMLP, {})])
+    def test_plan_rebinds_bitwise_to_another_model(self, cls, kwargs):
+        batches = make_batches(12, 8, 6, 3, seed=21)
+        donor = cls(num_features=6, num_classes=3, seed=1, **kwargs)
+        run_stream(donor, batches[:4], plans_on=True)  # captures the plans
+        # Same architecture, but other weights, optimizer state, step
+        # count and Dropout RNG state, restored from a mid-momentum
+        # checkpoint — all on the reference path.
+        model = cls(num_features=6, num_classes=3, seed=7, **kwargs)
+        reference = cls(num_features=6, num_classes=3, seed=7, **kwargs)
+        for target in (model, reference):
+            run_stream(target, batches[4:7], plans_on=False)
+            checkpoint = target.state_dict()
+            run_stream(target, batches[7:9], plans_on=False)
+            target.load_state_dict(checkpoint)
+        if isinstance(model.optimizer, nn.Adam):
+            assert model.optimizer._step_count != donor.optimizer._step_count
+        assert (dropout_rngs(model)[0].bit_generator.state
+                != dropout_rngs(donor)[0].bit_generator.state)
+        results_on, events = events_during(
+            lambda: run_stream(model, batches[9:], plans_on=True))
+        assert events["capture"] == 0 and events["unsupported"] == 0
+        assert events["replay"] == 2 * len(batches[9:])
+        results_off = run_stream(reference, batches[9:], plans_on=False)
+        assert_bitwise_equal(model, reference, results_on[0],
+                             results_off[0], results_on[1], results_off[1])
+        # Optimizer state (momentum / Adam moments and step) and the
+        # Dropout streams advanced identically as well.
+        assert nn_plan._Snapshot(model.optimizer, dropout_rngs(model)).matches(
+            nn_plan._Snapshot(reference.optimizer, dropout_rngs(reference)))
+
+    def test_cached_plans_hold_no_model_state(self):
+        model = DropoutMLP(num_features=6, num_classes=3, seed=0)
+        run_stream(model, make_batches(2, 8, 6, 3), plans_on=True)
+        plans = cached()
+        assert len(plans) == 2
+        for plan in plans:
+            parts = [plan.bound, *plan.kernels,
+                     getattr(plan, "loss", None), getattr(plan, "step", None)]
+            for part in filter(None, parts):
+                for name in type(part).__slots__:
+                    value = getattr(part, name)
+                    # No traced tensors, parameters, generators or
+                    # optimizers outlive the replay that bound them.
+                    for item in value if isinstance(value, list) else [value]:
+                        assert not isinstance(
+                            item, (nn.Tensor, np.random.Generator,
+                                   nn.Optimizer)), (type(part).__name__, name)
+
+    def test_rehydrated_tenant_replays_without_capture(self, tmp_path):
+        from repro.serving import (DirCheckpointStore, SessionRegistry,
+                                   predict_and_update)
+
+        batches = make_batches(8, 16, 6, 3, seed=4)
+        registry = SessionRegistry(make_tenant_learner, capacity=1,
+                                   store=DirCheckpointStore(tmp_path))
+
+        def serve(tenant, chunk):
+            with registry.session(tenant) as learner:
+                labels = [predict_and_update(learner, x, y)
+                          for x, y in chunk]
+                return labels, learner.ensemble.short_level.model.state_dict()
+
+        with configure(plan_capture=True):
+            serve("warm", batches)  # every signature this stream reaches
+            served, _ = serve("t", batches[:4])
+            serve("warm", batches[:1])  # evicts "t" to its checkpoint
+            assert registry.resident() == ["warm"]
+            (rest, state), events = events_during(
+                lambda: serve("t", batches[4:]))
+        assert registry.rehydrations >= 2
+        assert events["capture"] == 0 and events["unsupported"] == 0
+        assert events["replay"] > 0
+        with configure(plan_capture=False):
+            serial = make_tenant_learner()
+            expected = [predict_and_update(serial, x, y) for x, y in batches]
+        assert [p.tobytes() for p in served + rest] == \
+            [p.tobytes() for p in expected]
+        serial_state = serial.ensemble.short_level.model.state_dict()
+        for key in serial_state:
+            assert state[key].tobytes() == serial_state[key].tobytes()
+
+    def test_cached_plan_keeps_no_evicted_tenant_alive(self):
+        from repro.serving import SessionRegistry, predict_and_update
+
+        registry = SessionRegistry(make_tenant_learner, capacity=1)
+        with configure(plan_capture=True):
+            with registry.session("t") as learner:
+                for x, y in make_batches(4, 16, 6, 3, seed=2):
+                    predict_and_update(learner, x, y)
+                model = learner.ensemble.short_level.model
+                refs = [weakref.ref(obj) for obj in (
+                    learner, model, model.module, model.optimizer,
+                    model.module.parameters()[0].data)]
+            del learner, model
+            assert cached("fit") and cached("proba")
+            with registry.session("other"):
+                pass  # evicts "t"
+        assert "t" not in registry.resident()
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_thread_replicas_replay_on_every_thread(self):
+        from repro.data import ElectricitySimulator
+        from repro.distributed import DistributedLearner
+
+        def factory():
+            return StreamingMLP(num_features=8, num_classes=2, lr=0.3, seed=0)
+
+        def run(backend, plans_on):
+            distributed = DistributedLearner(factory, num_workers=2,
+                                             sync_every=1, window_batches=4,
+                                             backend=backend)
+            with configure(plan_capture=plans_on):
+                for batch in ElectricitySimulator(seed=3).stream(8, 128):
+                    distributed.process(batch)
+            states = [
+                {key: value.tobytes() for key, value in
+                 worker.ensemble.short_level.model.state_dict().items()}
+                for worker in distributed.workers]
+            distributed.close()
+            return states
+
+        seen = []
+
+        def hook(event, _seconds):
+            seen.append((event, threading.current_thread().name))
+
+        nn_plan.add_plan_hook(hook)
+        try:
+            threaded = run("thread", plans_on=True)
+        finally:
+            nn_plan.remove_plan_hook(hook)
+        assert threaded == run("serial", plans_on=False)
+        assert not [name for event, name in seen if event == "unsupported"]
+        replaying = {name for event, name in seen if event == "replay"}
+        for worker in range(2):
+            assert any(name.startswith(f"freeway-worker-{worker}")
+                       for name in replaying), replaying
+
+    def test_threads_share_structures_without_lost_updates(self):
+        import sys
+
+        archs = [(), (5,), (7,), (5, 5)]
+        batches = make_batches(6, 8, 6, 3, seed=12)
+
+        def build(hidden):
+            if hidden:
+                return StreamingMLP(num_features=6, num_classes=3,
+                                    hidden=hidden, seed=3, momentum=0.9)
+            return StreamingLR(num_features=6, num_classes=3, seed=3,
+                               momentum=0.9)
+
+        def stream(model):
+            probas, losses = [], []
+            for x, y in batches:
+                probas.append(model.predict_proba(x).tobytes())
+                losses.append(np.float64(model.partial_fit(x, y)).tobytes())
+            return losses, probas
+
+        with configure(plan_capture=False):
+            expected = {hidden: stream(build(hidden)) for hidden in archs}
+        results, errors = {}, []
+
+        def worker(index):
+            try:
+                # Fresh models every round: structure memoization and
+                # interning race across threads while every thread
+                # captures into, and replays from, its own cache.
+                for round_ in range(3):
+                    for hidden in archs:
+                        results[index, round_, hidden] = stream(build(hidden))
+            except BaseException as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with configure(plan_capture=True):
+                threads = [threading.Thread(target=worker, args=(index,))
+                           for index in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(results) == 4 * 3 * len(archs)
+        for (_index, _round, hidden), outcome in results.items():
+            assert outcome == expected[hidden]
