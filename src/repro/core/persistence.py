@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -131,11 +133,33 @@ def learner_state(learner: Learner) -> tuple[dict, dict]:
     return arrays, meta
 
 
+def _write_atomic(path: Path, blob: bytes) -> None:
+    """Replace ``path`` by ``blob`` so readers see the old or the new file.
+
+    The bytes go to a temp file in the same directory, are fsynced, and
+    only then renamed over ``path``; a write that fails midway removes
+    the temp file and leaves any previous checkpoint untouched.
+    """
+    temp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(temp, "wb") as handle:
+            handle.write(blob)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def save_learner(learner: Learner, path: str | Path) -> int:
     """Write a learner checkpoint to ``path``; returns bytes written.
 
-    When the learner carries an enabled observability facade, a
-    :class:`~repro.obs.CheckpointWritten` event records the durable write.
+    The write is atomic: a crash or error midway leaves the previous
+    checkpoint at ``path`` loadable.  When the learner carries an enabled
+    observability facade, a :class:`~repro.obs.CheckpointWritten` event
+    records the durable write.
     """
     with learner.obs.tracer.span("persistence.save"):
         arrays, meta = learner_state(learner)
@@ -148,7 +172,7 @@ def save_learner(learner: Learner, path: str | Path) -> int:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         blob = buffer.getvalue()
-        path.write_bytes(blob)
+        _write_atomic(path, blob)
     if learner.obs.enabled:
         learner.obs.emit(CheckpointWritten(
             path=str(path), nbytes=len(blob),

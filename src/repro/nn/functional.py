@@ -9,14 +9,11 @@ experiments in the paper's appendix.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from ..perf import POOL as _POOL
 from ..perf.config import config as _perf_config
 from . import record as _record
-from .tensor import Tensor
+from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
     "linear",
@@ -298,7 +295,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
 
 
 # ---------------------------------------------------------------------------
-# Convolution via im2col.
+# Convolution and max pooling over strided kernel-offset windows.
 # ---------------------------------------------------------------------------
 
 
@@ -311,82 +308,71 @@ def _pair(value) -> tuple[int, int]:
     return int(value), int(value)
 
 
-def _im2col_indices(x_shape, kernel_h, kernel_w, stride, padding):
-    """Gather indices for im2col — memoized, the args fully determine them.
+def _windows(x_shape, kernel_h, kernel_w, stride, padding):
+    """One ``(..., out_h, out_w)`` strided index per kernel offset.
 
-    Streaming models call conv2d with the same shapes every batch; the
-    repeat/tile index construction is pure overhead after the first call.
-    Callers only ever *read* the returned arrays (fancy indexing), so
-    sharing cached instances is safe.
+    Offsets come in row-major ``(ki, kj)`` order; indexing the (padded)
+    input with ``windows[ki * kernel_w + kj]`` views every output
+    position's element at that offset.  Returns ``(windows, out_h, out_w)``.
     """
     stride_h, stride_w = _pair(stride)
     pad_h, pad_w = _pair(padding)
-    return _im2col_indices_cached(tuple(x_shape), int(kernel_h), int(kernel_w),
-                                  stride_h, stride_w, pad_h, pad_w)
-
-
-@functools.lru_cache(maxsize=128)
-def _im2col_indices_cached(x_shape, kernel_h, kernel_w, stride_h, stride_w,
-                           pad_h, pad_w):
-    batch, channels, height, width = x_shape
-    out_h = (height + 2 * pad_h - kernel_h) // stride_h + 1
-    out_w = (width + 2 * pad_w - kernel_w) // stride_w + 1
+    out_h = (x_shape[-2] + 2 * pad_h - kernel_h) // stride_h + 1
+    out_w = (x_shape[-1] + 2 * pad_w - kernel_w) // stride_w + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError(
-            f"conv/pool output would be empty for input {x_shape} with "
+            f"conv/pool output would be empty for input {tuple(x_shape)} with "
             f"kernel ({kernel_h},{kernel_w}), stride ({stride_h},{stride_w}), "
             f"padding ({pad_h},{pad_w})"
         )
-    i0 = np.repeat(np.arange(kernel_h), kernel_w)
-    i0 = np.tile(i0, channels)
-    i1 = stride_h * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kernel_w), kernel_h * channels)
-    j1 = stride_w * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kernel_h * kernel_w).reshape(-1, 1)
-    return k, i, j, out_h, out_w
+    span_h, span_w = stride_h * (out_h - 1) + 1, stride_w * (out_w - 1) + 1
+    windows = [(Ellipsis, slice(ki, ki + span_h, stride_h),
+                slice(kj, kj + span_w, stride_w))
+               for ki in range(kernel_h) for kj in range(kernel_w)]
+    return windows, out_h, out_w
 
 
 def _im2col(x: np.ndarray, kernel_h, kernel_w, stride, padding):
-    k, i, j, out_h, out_w = _im2col_indices(
-        x.shape, kernel_h, kernel_w, stride, padding
-    )
+    """``(batch, C*kh*kw, out_h*out_w)`` columns plus ``out_h, out_w``.
+
+    The columns keep batch as the innermost memory axis, the layout a
+    fancy-index gather produces: einsum's summation order follows operand
+    strides, so this layout is what keeps conv results bitwise stable.
+    """
+    windows, out_h, out_w = _windows(x.shape, kernel_h, kernel_w, stride,
+                                     padding)
+    batch, channels, height, width = x.shape
     pad_h, pad_w = _pair(padding)
-    if pad_h == 0 and pad_w == 0:
-        # No padding: gather straight from the input, skipping np.pad's
-        # full copy.  Fancy indexing yields the identical fresh array.
-        cols = x[:, k, i, j]  # (batch, C*kh*kw, out_h*out_w)
-        return cols, out_h, out_w
-    padded_shape = (x.shape[0], x.shape[1],
-                    x.shape[2] + 2 * pad_h, x.shape[3] + 2 * pad_w)
-    if _perf_config.buffer_pool:
-        # Zero-filled pool scratch + interior write == np.pad constant-0;
-        # the gather below copies out of it, so it can be released here.
-        padded = _POOL.zeros(padded_shape, dtype=x.dtype)
-        padded[:, :, pad_h:pad_h + x.shape[2], pad_w:pad_w + x.shape[3]] = x
-        cols = padded[:, k, i, j]
-        _POOL.release(padded)
-    else:
-        padded = np.pad(
-            x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)), mode="constant"
-        )
-        cols = padded[:, k, i, j]
-    return cols, out_h, out_w
+    if pad_h or pad_w:
+        padded = np.zeros((batch, channels, height + 2 * pad_h,
+                           width + 2 * pad_w), dtype=x.dtype)
+        padded[:, :, pad_h:pad_h + height, pad_w:pad_w + width] = x
+        x = padded
+    cols = np.empty((channels, len(windows), out_h, out_w, batch),
+                    dtype=x.dtype).transpose(4, 0, 1, 2, 3)
+    for offset, window in enumerate(windows):
+        cols[:, :, offset] = x[window]
+    return cols.reshape(batch, -1, out_h * out_w), out_h, out_w
 
 
 def _col2im(cols: np.ndarray, x_shape, kernel_h, kernel_w, stride, padding):
+    """Scatter-add columns back onto a ``x_shape`` input gradient.
+
+    One strided add per offset, in offset order, onto +0.0: every pixel
+    receives the same additions in the same order as an ``np.add.at``
+    scatter over the gathered indices, so the sums are bitwise equal.
+    """
+    windows, out_h, out_w = _windows(x_shape, kernel_h, kernel_w, stride,
+                                     padding)
     batch, channels, height, width = x_shape
     pad_h, pad_w = _pair(padding)
-    k, i, j, _, _ = _im2col_indices(x_shape, kernel_h, kernel_w, stride, padding)
-    padded = np.zeros(
-        (batch, channels, height + 2 * pad_h, width + 2 * pad_w),
-        dtype=cols.dtype,
-    )
-    np.add.at(padded, (slice(None), k, i, j), cols)
-    row_end = padded.shape[2] - pad_h
-    col_end = padded.shape[3] - pad_w
-    return padded[:, :, pad_h:row_end, pad_w:col_end]
+    padded = np.zeros((batch, channels, height + 2 * pad_h, width + 2 * pad_w),
+                      dtype=cols.dtype)
+    cols = cols.reshape(batch, channels, len(windows), out_h, out_w)
+    for offset, window in enumerate(windows):
+        target = padded[window]
+        target += cols[:, :, offset]
+    return padded[:, :, pad_h:pad_h + height, pad_w:pad_w + width]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -419,8 +405,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     def backward(g: np.ndarray):
         g_mat = g.reshape(g.shape[0], kernel_out, -1)  # (batch, out_c, positions)
         grad_weight = np.einsum("bop,bfp->of", g_mat, cols).reshape(weight.shape)
-        grad_cols = np.einsum("of,bop->bfp", weight_mat, g_mat)
-        grad_x = _col2im(grad_cols, x_shape, kernel_h, kernel_w, stride, padding)
+        grad_x = None  # a first layer's input gradient has no consumer
+        if x.requires_grad:
+            grad_cols = np.einsum("of,bop->bfp", weight_mat, g_mat)
+            grad_x = _col2im(grad_cols, x_shape, kernel_h, kernel_w, stride,
+                             padding)
         if bias is None:
             return grad_x, grad_weight
         grad_bias = g.sum(axis=(0, 2, 3))
@@ -432,29 +421,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 def max_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
     """2-D max pooling over ``(batch, channels, H, W)`` input.
 
-    ``kernel_size`` and ``stride`` may be ints or ``(h, w)`` pairs.
+    ``kernel_size`` and ``stride`` may be ints or ``(h, w)`` pairs.  Each
+    output takes the first maximum of its window in row-major order, and
+    the first NaN if the window holds one (``np.argmax``'s rules).
     """
     x = _as_tensor(x)
     kernel_h, kernel_w = _pair(kernel_size)
     stride = kernel_size if stride is None else stride
-    batch, channels, height, width = x.shape
-    # Pool each channel independently by folding channels into the batch.
-    reshaped = x.data.reshape(batch * channels, 1, height, width)
-    cols, out_h, out_w = _im2col(reshaped, kernel_h, kernel_w, stride, 0)
-    # cols: (batch*channels, k*k, positions)
-    argmax = cols.argmax(axis=1)
-    positions = np.arange(cols.shape[2])
-    rows = np.arange(cols.shape[0])[:, None]
-    pooled = cols[rows, argmax, positions]
-    out = pooled.reshape(batch, channels, out_h, out_w)
+    windows, _, _ = _windows(x.shape, kernel_h, kernel_w, stride, 0)
+    data = x.data
+    out = data[windows[0]].copy()
+    # Which offset won each output; only backward reads it.
+    winner = (np.zeros(out.shape, dtype=np.intp)
+              if x.requires_grad and is_grad_enabled() else None)
+    for offset, window in enumerate(windows[1:], 1):
+        candidate = data[window]
+        # A candidate wins unless it is <= the running max (so a NaN
+        # wins), and never over a NaN (so the first NaN stays).
+        wins = ~(candidate <= out)
+        wins &= out == out
+        out = np.where(wins, candidate, out)
+        if winner is not None:
+            np.maximum(winner, wins * offset, out=winner)  # later offsets win
 
     def backward(g: np.ndarray):
-        g_flat = g.reshape(batch * channels, -1)
-        grad_cols = np.zeros_like(cols)
-        grad_cols[rows, argmax, positions] = g_flat
-        grad_reshaped = _col2im(
-            grad_cols, reshaped.shape, kernel_h, kernel_w, stride, 0
-        )
-        return (grad_reshaped.reshape(batch, channels, height, width),)
+        grad = np.zeros(x.shape, dtype=data.dtype)
+        for offset, window in enumerate(windows):
+            target = grad[window]
+            target += np.where(winner == offset, g, 0.0)
+        return (grad,)
 
     return Tensor._make(out, (x,), backward)

@@ -34,9 +34,6 @@ class PerfConfig:
     fused_linear:
         Collapse ``x @ W.T + b`` (and a following activation inside
         ``Sequential``) into one autograd node.
-    buffer_pool:
-        Reuse per-shape scratch arrays (im2col padding, optimizer
-        scratch) through the thread-local :data:`repro.perf.POOL`.
     grad_ownership:
         Let ``Tensor._accumulate`` adopt a privately-owned gradient
         buffer instead of copying it.
@@ -65,9 +62,9 @@ class PerfConfig:
         define-by-run path.
     """
 
-    __slots__ = ("graph_tape", "fused_linear", "buffer_pool",
-                 "grad_ownership", "inplace_optim", "cached_nearest",
-                 "fused_loss", "stacked_exec", "plan_capture")
+    __slots__ = ("graph_tape", "fused_linear", "grad_ownership",
+                 "inplace_optim", "cached_nearest", "fused_loss",
+                 "stacked_exec", "plan_capture")
 
     def __init__(self, enabled: bool = True):
         self.set_all(enabled)

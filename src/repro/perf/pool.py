@@ -1,10 +1,10 @@
 """A thread-local per-shape scratch-buffer pool.
 
-Profiling the serving loop (see ``docs/PERF.md``) shows the matrices are
-small enough that numpy allocation — not FLOPs — dominates several hot
-call sites: conv2d's padded im2col scratch, optimizer step scratch, and
-gradient accumulation buffers.  :class:`BufferPool` keeps per-``(shape,
-dtype)`` free lists so those arrays are recycled instead of reallocated.
+:class:`BufferPool` keeps per-``(shape, dtype)`` free lists so scratch
+arrays can be recycled instead of reallocated.  No hot-path kernel draws
+from :data:`POOL` at present; the pool still publishes its statistics,
+and :func:`can_own` below is the aliasing oracle behind gradient
+ownership.
 
 Free lists live in ``threading.local`` storage, so two replicas running
 under the thread execution backend can never hand each other the same

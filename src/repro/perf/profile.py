@@ -26,6 +26,9 @@ HOT_PATH_HISTOGRAM = "freeway_hot_path_seconds"
 #: profiler does not import the nn package).
 PLAN_CACHE_COUNTER = "freeway_plan_cache"
 
+#: Stage-name prefix of spans recorded inside another stage's span.
+NESTED_PREFIX = "plan."
+
 
 class _Stage:
     """Reusable-per-call context manager timing one stage span."""
@@ -85,7 +88,7 @@ class HotPathProfiler:
         also bumps ``freeway_plan_cache{event}`` when observability is on.
         """
         if event in ("capture", "replay"):
-            self.record(f"plan.{event}", seconds)
+            self.record(f"{NESTED_PREFIX}{event}", seconds)
         obs = self._obs
         if obs is not None and obs.enabled:
             obs.registry.counter(
@@ -112,12 +115,19 @@ class HotPathProfiler:
         return out
 
     def render(self) -> str:
-        """Aligned text table, stages sorted by total time descending."""
+        """Aligned text table, stages sorted by total time descending.
+
+        Shares are of the top-level stages' total, so those sum to 100%;
+        a nested ``plan.*`` row shows its share of the same total.
+        """
         summary = self.summary()
         if not summary:
             return "hot path: no samples recorded"
         rows = sorted(summary.items(), key=lambda kv: -kv[1]["total_s"])
-        total = sum(stats["total_s"] for _, stats in rows)
+        # Nested spans (plan.*) run inside the serving stages; counting
+        # them in the total would understate every share.
+        total = sum(stats["total_s"] for name, stats in rows
+                    if not name.startswith(NESTED_PREFIX))
         width = max(len(name) for name, _ in rows)
         lines = [f"{'stage'.ljust(width)}  {'count':>6}  {'total':>9}  "
                  f"{'mean':>9}  {'p50':>9}  {'share':>6}"]

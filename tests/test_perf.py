@@ -279,6 +279,33 @@ class TestHotPathProfiler:
     def test_render_empty(self):
         assert "no samples" in HotPathProfiler().render()
 
+    @staticmethod
+    def _shares(table):
+        return {line.split()[0]: float(line.split()[-1].rstrip("%"))
+                for line in table.splitlines()[1:]}
+
+    def test_render_shares_exclude_nested_plan_rows(self):
+        profiler = HotPathProfiler()
+        profiler.record("train", 0.3)
+        profiler.record("assess", 0.1)
+        profiler.observe_plan_event("replay", 0.2)  # spent inside "train"
+        shares = self._shares(profiler.render())
+        assert shares == {"train": 75.0, "plan.replay": 50.0, "assess": 25.0}
+
+    def test_learner_top_level_shares_sum_to_100(self):
+        profiler = HotPathProfiler()
+        factory = model_factory_for("mlp", 16, 4, lr=0.3, seed=0)
+        with Learner(factory, seed=0, profiler=profiler) as learner:
+            for batch in _probe_stream(num_batches=6):
+                learner.process(batch)
+        shares = self._shares(profiler.render())
+        assert any(name.startswith("plan.") for name in shares)
+        top_level = [share for name, share in shares.items()
+                     if not name.startswith("plan.")]
+        # Each printed share is rounded to 0.1%.
+        assert sum(top_level) == pytest.approx(100.0,
+                                               abs=0.05 * len(top_level))
+
     def test_reset_drops_samples(self):
         profiler = HotPathProfiler()
         profiler.record("train", 0.1)

@@ -1,5 +1,8 @@
 """Tests for learner checkpointing (repro.core.persistence)."""
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -182,3 +185,39 @@ class TestValidation:
         restored = load_learner(make_learner(), path)
         assert restored._batch_counter == 0
         assert len(restored.knowledge) == 0
+
+
+class TestAtomicWrite:
+    @staticmethod
+    def _torn_fsync(fd):
+        os.ftruncate(fd, 16)  # only part of the archive reached the disk
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    @staticmethod
+    def _failed_replace(src, dst):
+        raise OSError(errno.EIO, "Input/output error")
+
+    @pytest.mark.parametrize("call, fault", [("fsync", "_torn_fsync"),
+                                             ("replace", "_failed_replace")])
+    def test_failed_write_keeps_previous_checkpoint(self, trained_learner,
+                                                    tmp_path, monkeypatch,
+                                                    call, fault):
+        path = tmp_path / "checkpoint.npz"
+        save_learner(make_learner(), path)
+        previous = path.read_bytes()
+        monkeypatch.setattr(os, call, getattr(self, fault))
+        with pytest.raises(OSError):
+            save_learner(trained_learner, path)
+        monkeypatch.undo()
+
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        assert path.read_bytes() == previous
+        assert load_learner(make_learner(), path)._batch_counter == 0
+
+    def test_overwrite_replaces_the_file(self, trained_learner, tmp_path):
+        path = tmp_path / "checkpoint.npz"
+        save_learner(make_learner(), path)
+        save_learner(trained_learner, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        restored = load_learner(make_learner(), path)
+        assert restored._batch_counter == trained_learner._batch_counter
