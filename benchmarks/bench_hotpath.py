@@ -337,86 +337,16 @@ def measure_plans(kind: str, num_batches: int, repeats: int,
     }
 
 
-def measure_plans_stacked(num_models: int = 8, steps: int = 30,
-                          repeats: int = 3, batch_size: int = 32) -> dict:
-    """Plan replay stacked compound cell: plans on vs off, both stacked.
-
-    Shows the two engines multiply — the stacked batched step gets rid of
-    the per-model Python loop, and the captured plan then removes the
-    remaining per-step graph construction on top of it.
-    """
-    from repro import nn
-    from repro.nn import plan as nn_plan
-    from repro.perf import configure
-
-    rng = np.random.default_rng(5)
-    xs = rng.normal(size=(steps, num_models, batch_size, NUM_FEATURES))
-    ys = rng.integers(0, NUM_CLASSES, size=(steps, num_models, batch_size))
-
-    def one_pass(plans_on: bool):
-        nn_plan.clear_plans()
-        modules = [_small_module("mlp", seed) for seed in range(num_models)]
-        optimizers = [nn.SGD(module.parameters(), lr=0.1, momentum=0.9)
-                      for module in modules]
-        stack = nn.stack_models(modules)
-        optimizer = nn.make_stacked_optimizer(stack, optimizers)
-        losses = np.empty((steps, num_models))
-        with configure(plan_capture=plans_on):
-            # Untimed warm-up: first call captures, later calls replay.
-            for step in range(2):
-                nn.stacked_fit(stack, optimizer, xs[step], ys[step])
-            start = time.perf_counter()
-            for step in range(steps):
-                losses[step] = nn.stacked_fit(stack, optimizer,
-                                              xs[step], ys[step])
-            elapsed = time.perf_counter() - start
-        nn.unstack_models(stack)
-        optimizer.export_to(optimizers)
-        params = np.concatenate([parameter.data.ravel()
-                                 for module in modules
-                                 for parameter in module.parameters()])
-        return elapsed, losses, params
-
-    on_times, off_times = [], []
-    elapsed, losses_on, params_on = one_pass(True)
-    on_times.append(elapsed)
-    elapsed, losses_off, params_off = one_pass(False)
-    off_times.append(elapsed)
-    equivalent = (losses_on.tobytes() == losses_off.tobytes()
-                  and params_on.tobytes() == params_off.tobytes())
-    for _ in range(repeats - 1):
-        on_times.append(one_pass(True)[0])
-        off_times.append(one_pass(False)[0])
-    rows = steps * num_models * batch_size
-    return {
-        "axis": "plans-stacked",
-        "model": "mlp",
-        "num_models": num_models,
-        "steps": steps,
-        "batch_size": batch_size,
-        "repeats": repeats,
-        "baseline_items_per_s": rows / min(off_times),
-        "plans_items_per_s": rows / min(on_times),
-        "speedup": min(off_times) / min(on_times),
-        "equivalent": equivalent,
-    }
-
-
 def run_plans_axis(num_batches: int, repeats: int, smoke: bool,
                    models=PLAN_MODELS) -> tuple[list[dict], int]:
     """All plan cells; returns (results, exit_code)."""
     results = []
     for kind in models:
         results.append(measure_plans(kind, num_batches, repeats))
-    # The stacked cell is cheap per step, so it runs the full step count
-    # (short passes are too jittery for the 25% regression threshold).
-    results.append(measure_plans_stacked(
-        steps=max(num_batches, 6), repeats=repeats))
     failures = []
     for entry in results:
         gate = "ok" if entry["equivalent"] else "NOT EQUIVALENT"
-        label = (f"{entry['model']} x{entry['num_models']}"
-                 if entry["axis"] == "plans-stacked" else entry["model"])
+        label = entry["model"]
         print(f"{label:>8} {entry['axis']:>13}: {entry['speedup']:5.2f}x "
               f"baseline ({entry['plans_items_per_s']:9.0f} items/s)  "
               f"[bitwise {gate}]", file=sys.stderr)

@@ -7,6 +7,7 @@ training cannot run in parallel), so the reproduced claims are (a)
 near-linear scaling in batch size and (b) small *inference* overhead.
 """
 
+import statistics
 import time
 
 from conftest import print_banner
@@ -44,23 +45,37 @@ def _prepare(freeway: bool, batch_size: int):
             lambda: model.partial_fit(*(lambda b: (b.x, b.y))(next(pool))))
 
 
-def _time(fn, rounds=3):
-    fn()  # warm
-    start = time.perf_counter()
-    for _ in range(rounds):
-        fn()
-    return (time.perf_counter() - start) / rounds * 1e6
+def _interleaved(plain, freeway, rounds=7):
+    """Median µs per call of ``plain`` and ``freeway``, timed in turns.
+
+    Each round times one call of each, alternating which goes first, so
+    both see the same allocator and page-cache state (a large batch can
+    swing several-fold between rounds).  The median drops such outliers.
+    """
+    plain()  # warm
+    freeway()
+    times = ([], [])
+    for round_ in range(rounds):
+        order = (0, 1) if round_ % 2 == 0 else (1, 0)
+        for side in order:
+            fn = (plain, freeway)[side]
+            start = time.perf_counter()
+            fn()
+            times[side].append(time.perf_counter() - start)
+    return tuple(statistics.median(side) * 1e6 for side in times)
 
 
 def test_table6_cnn_latency(benchmark):
     def run():
         table = {}
-        for freeway in (False, True):
-            name = "freewayml" if freeway else "streaming-cnn"
-            for batch_size in BATCH_SIZES:
-                infer, update = _prepare(freeway, batch_size)
-                table[(name, "infer", batch_size)] = _time(infer)
-                table[(name, "update", batch_size)] = _time(update)
+        for batch_size in BATCH_SIZES:
+            plain = _prepare(False, batch_size)
+            freeway = _prepare(True, batch_size)
+            for phase, plain_fn, freeway_fn in zip(("infer", "update"),
+                                                   plain, freeway):
+                (table[("streaming-cnn", phase, batch_size)],
+                 table[("freewayml", phase, batch_size)]) = _interleaved(
+                    plain_fn, freeway_fn)
         return table
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)

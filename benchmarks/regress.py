@@ -127,14 +127,8 @@ def _measure_plans() -> tuple[list[dict], float, int]:
 
 
 def _normalized_plans(results: list[dict], calib: float) -> dict:
-    cells = {}
-    for entry in results:
-        if entry["axis"] == "plans-stacked":
-            key = f"plans-stacked/{entry['model']}/x{entry['num_models']}"
-        else:
-            key = f"plans/{entry['model']}"
-        cells[key] = entry["plans_items_per_s"] * calib
-    return cells
+    return {f"plans/{entry['model']}": entry["plans_items_per_s"] * calib
+            for entry in results}
 
 
 def _measure_section(section: str) -> tuple[dict, int]:

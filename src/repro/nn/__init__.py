@@ -33,7 +33,6 @@ from .stacked import (
     StackedSGD,
     make_stacked_optimizer,
     stack_models,
-    stacked_cross_entropy,
     stacked_fit,
     unstack_models,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "StackedAdam",
     "stack_models",
     "unstack_models",
-    "stacked_cross_entropy",
     "stacked_fit",
     "make_stacked_optimizer",
 ]

@@ -71,11 +71,17 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     one closure instead of three to five per layer — which dominates at
     streaming batch sizes (see ``docs/PERF.md``).
 
-    Falls back to the unfused chain for non-2D inputs.
+    An optional leading model axis runs N models at once: ``x`` of shape
+    ``(models, rows, in)`` with ``weight`` ``(models, out, in)`` and
+    ``bias`` ``(models, out)``.  Batched ``np.matmul`` computes each model
+    slice with the same gemm as the 2-D call, so every slice is bitwise
+    the single model's result.  Inputs whose rank differs from the
+    weight's fall back to the unfused chain.
     """
     x = _as_tensor(x)
     xd = x.data
-    if xd.ndim != 2 or weight.data.ndim != 2:
+    wd = weight.data
+    if xd.ndim != wd.ndim or wd.ndim not in (2, 3):
         out = linear(x, weight, bias)
         if activation == "relu":
             return out.relu()
@@ -89,12 +95,12 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     rec = _record.current() if _record.ACTIVE else None
     if rec is not None:
         rec.begin()
-    wd = weight.data
-    out = xd @ wd.T
+    stacked = wd.ndim == 3
+    out = np.matmul(xd, np.swapaxes(wd, -1, -2))
     if bias is not None:
         # The product buffer is private (fresh from the gemm), so the bias
         # add can land in place — same ufunc, same bits, one less alloc.
-        np.add(out, bias.data, out=out)
+        np.add(out, bias.data[:, None, :] if stacked else bias.data, out=out)
     # act_state is what the activation's backward needs: the relu mask, or
     # the activation output itself for tanh/sigmoid.
     act_state = None
@@ -117,11 +123,14 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             g = g * (1.0 - act_state * act_state)
         elif activation == "sigmoid":
             g = g * act_state * (1.0 - act_state)
-        grad_x = g @ wd
-        grad_weight = (xd.T @ g).T
+        grad_x = np.matmul(g, wd)
+        grad_weight = np.swapaxes(
+            np.matmul(np.swapaxes(xd, -1, -2), g), -1, -2)
         if bias is None:
             return grad_x, grad_weight
-        return grad_x, grad_weight, g
+        # A (models, out) bias is not a numpy broadcast of the output, so
+        # the delivery path cannot unbroadcast it: sum the rows here.
+        return grad_x, grad_weight, g.sum(axis=1) if stacked else g
 
     out_t = Tensor._make(out, parents, backward)
     if rec is not None:
@@ -212,43 +221,53 @@ def _fused_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     broadcast copies, the ``(-g).sum`` unbroadcast of the log-norm grad,
     and the two-consumer pair addition at the shifted logits).  What it
     saves is ten Tensor allocations and closure round-trips per loss
-    evaluation.
+    evaluation.  ``(models, rows, classes)`` logits run the same ops per
+    model slice and give ``(models,)`` losses.
     """
     x = logits.data
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    labels = np.asarray(labels, dtype=np.int64)
     mask = one_hot(labels, x.shape[-1])
+    if x.ndim == 3:
+        if labels.shape != x.shape[:2]:
+            raise ValueError(
+                f"labels must have shape {x.shape[:2]}; got {labels.shape}")
+        mask = mask.reshape(x.shape)
     shifted = x - x.max(axis=-1, keepdims=True)
     exp_shifted = np.exp(shifted)
     norm = exp_shifted.sum(axis=-1, keepdims=True)
     log_probs = shifted - np.log(norm)
     picked = (log_probs * mask).sum(axis=-1)
-    inv_count = 1.0 / picked.size
-    loss = -(picked.sum() * inv_count)
-    rows, cols = x.shape
+    inv_count = 1.0 / x.shape[-2]
+    loss = -(picked.sum(axis=-1) * inv_count)
 
     def backward(g: np.ndarray):
         # Broadcast *views* stand in for the chain's materialized copies:
         # the consumers below are elementwise, so the products come out
         # bit-for-bit the same without the intermediate allocations.
-        g_picked = np.broadcast_to(-g * inv_count, (rows,))
-        g_log_probs = np.broadcast_to(
-            np.expand_dims(g_picked, -1), (rows, cols)
-        )
+        g_picked = np.broadcast_to((-g * inv_count)[..., None], picked.shape)
+        g_log_probs = np.broadcast_to(g_picked[..., None], x.shape)
         g_masked = g_log_probs * mask
-        g_log_norm = (-g_masked).sum(axis=(1,), keepdims=True)
-        g_exp = np.broadcast_to(g_log_norm / norm, (rows, cols))
+        g_log_norm = (-g_masked).sum(axis=-1, keepdims=True)
+        g_exp = np.broadcast_to(g_log_norm / norm, x.shape)
         return (g_masked + g_exp * exp_shifted,)
 
     return Tensor._make(loss, (logits,), backward)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Softmax cross-entropy between ``logits`` and integer ``labels``."""
+    """Softmax cross-entropy between ``logits`` and integer ``labels``.
+
+    ``(models, rows, classes)`` logits with ``(models, rows)`` labels give
+    one loss per model, ``(models,)``; seed ``backward`` with
+    ``np.ones(models)`` to mirror N independent scalar ``backward()``
+    calls.  Each model's loss and gradient are bitwise its own 2-D call.
+    """
     logits = _as_tensor(logits)
     rec = _record.current() if _record.ACTIVE else None
     if rec is not None:
         rec.begin()
-    if _perf_config.fused_loss and logits.data.ndim == 2:
+    ndim = logits.data.ndim
+    if ndim == 3 or (_perf_config.fused_loss and ndim == 2):
         out = _fused_cross_entropy(logits, labels)
     else:
         out = nll_loss(log_softmax(logits, axis=-1), labels)
@@ -278,8 +297,15 @@ def binary_cross_entropy_with_logits(logits: Tensor, target) -> Tensor:
     return (max_part - x * target_t + log_part).mean()
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero activations with probability ``p`` in training."""
+def dropout(x: Tensor, p: float, training: bool,
+            rng: np.random.Generator | list[np.random.Generator]) -> Tensor:
+    """Inverted dropout: zero activations with probability ``p`` in training.
+
+    ``rng`` is one generator, or a sequence of one generator per slice of
+    a leading model axis.  Each slice then draws ``random(shape[1:])``
+    from its own generator, in model order: exactly the draw that model's
+    own 2-D forward would make.
+    """
     if not training or p <= 0.0:
         return x
     if not 0.0 <= p < 1.0:
@@ -287,7 +313,13 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
     rec = _record.current() if _record.ACTIVE else None
     if rec is not None:
         rec.begin()
-    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    if isinstance(rng, (list, tuple)):
+        draws = np.empty(x.shape)
+        for model, generator in enumerate(rng):
+            generator.random(out=draws[model])
+    else:
+        draws = rng.random(x.shape)
+    mask = (draws >= p).astype(x.data.dtype) / (1.0 - p)
     out = x * Tensor(mask)
     if rec is not None:
         rec.end(("dropout", p, rng, x, out))

@@ -25,7 +25,9 @@ and Dropout generators by position, and each replay binds them to the
 calling model for that call only.  Learner levels, knowledge restores,
 clones, unpickled copies and rehydrated serving tenants thus all replay
 the one plan that was verified once.  The whole engine sits behind the
-``plan_capture`` flag in :mod:`repro.perf.config`.
+``plan_capture`` flag in :mod:`repro.perf.config`.  Plans cover single
+2-D models only: stacked fleets (:mod:`repro.nn.stacked`) change fleet
+size and row count from round to round, so they run unplanned.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "plan_cache_stats",
     "fit_with_plan",
     "proba_with_plan",
-    "stacked_fit_with_plan",
     "clear_plans",
     "PLAN_CACHE_COUNTER",
 ]
@@ -59,7 +60,7 @@ __all__ = [
 #: invalidate), exported by :class:`repro.perf.HotPathProfiler`.
 PLAN_CACHE_COUNTER = "freeway_plan_cache"
 
-#: Plans (fit, proba and stacked alike) each thread keeps, LRU-evicted.
+#: Plans (fit and proba alike) each thread keeps, LRU-evicted.
 _CACHE_CAP = 16
 
 
@@ -258,24 +259,22 @@ def _activation_backward(name, g, out, mask, scratch) -> None:
 class _LinearKernel:
     """``x @ W.T + b`` (+ fused activation) — mirrors ``fused_linear``."""
 
-    __slots__ = ("bound", "windex", "bindex", "activation", "stacked", "x",
-                 "out", "mask", "scratch", "g_out", "g_in", "w_scratch",
-                 "gw", "gb")
+    __slots__ = ("bound", "windex", "bindex", "activation", "x", "out",
+                 "mask", "scratch", "g_out", "g_in", "w_scratch", "gw", "gb")
 
     def __init__(self, bound, windex, bindex, x_buf, out_ref, weight, bias,
-                 activation, stacked):
+                 activation):
         self.bound = bound
         self.windex = windex
         self.bindex = bindex
         self.activation = activation
-        self.stacked = stacked
         self.x = x_buf
         self.out = _buffer_like(out_ref)
         self.mask = (np.empty(out_ref.shape, dtype=bool)
                      if activation == "relu" else None)
         self.scratch = (_buffer_like(out_ref)
                         if activation in ("tanh", "sigmoid") else None)
-        self.w_scratch = np.empty(np.swapaxes(weight.data, -1, -2).shape)
+        self.w_scratch = np.empty(weight.data.T.shape)
         self.gw = np.empty(weight.data.shape)
         self.gb = np.empty(bias.data.shape) if bias is not None else None
         self.g_out = None   # wired by the compiler (grad w.r.t. self.out)
@@ -285,11 +284,9 @@ class _LinearKernel:
     def forward(self) -> None:
         params = self.bound.params
         w = params[self.windex].data
-        np.matmul(self.x, np.swapaxes(w, -1, -2), out=self.out)
+        np.matmul(self.x, w.T, out=self.out)
         if self.bindex >= 0:
-            b = params[self.bindex].data
-            np.add(self.out, b[:, None, :] if self.stacked else b,
-                   out=self.out)
+            np.add(self.out, params[self.bindex].data, out=self.out)
         if self.activation == "relu":
             np.greater(self.out, 0.0, out=self.mask)
             np.maximum(self.out, 0.0, out=self.out)
@@ -308,10 +305,10 @@ class _LinearKernel:
             np.matmul(g, w, out=self.g_in)
         # grad_W = (x.T @ g).T — matmul with the same operand layout as
         # the reference closure, then a float-op-free transposed copy.
-        np.matmul(np.swapaxes(self.x, -1, -2), g, out=self.w_scratch)
-        self.gw[...] = np.swapaxes(self.w_scratch, -1, -2)
+        np.matmul(self.x.T, g, out=self.w_scratch)
+        self.gw[...] = self.w_scratch.T
         if self.gb is not None:
-            np.sum(g, axis=-2, out=self.gb)
+            np.sum(g, axis=0, out=self.gb)
 
 
 class _ActKernel:
@@ -352,20 +349,15 @@ class _ActKernel:
 
 
 class _DropoutKernel:
-    """Inverted dropout drawing from the bound generator(s) each replay.
+    """Inverted dropout drawing from the bound generator each replay."""
 
-    Its source is a generator for a single model, or the list of
-    per-model Dropout layers for a stack.
-    """
+    __slots__ = ("p", "bound", "dindex", "x", "out", "rand", "maskb",
+                 "maskf", "g_out", "g_in")
 
-    __slots__ = ("p", "bound", "dindex", "stacked", "x", "out", "rand",
-                 "maskb", "maskf", "g_out", "g_in")
-
-    def __init__(self, p, bound, dindex, stacked, x_buf, out_ref):
+    def __init__(self, p, bound, dindex, x_buf, out_ref):
         self.p = p
         self.bound = bound
         self.dindex = dindex
-        self.stacked = stacked
         self.x = x_buf
         self.out = _buffer_like(out_ref)
         self.rand = np.empty(out_ref.shape)
@@ -376,12 +368,7 @@ class _DropoutKernel:
 
     @replay_kernel
     def forward(self) -> None:
-        source = self.bound.sources[self.dindex]
-        if self.stacked:
-            for index, layer in enumerate(source):
-                layer.rng.random(out=self.rand[index])
-        else:
-            source.random(out=self.rand)
+        self.bound.sources[self.dindex].random(out=self.rand)
         np.greater_equal(self.rand, self.p, out=self.maskb)
         np.copyto(self.maskf, self.maskb)
         np.divide(self.maskf, 1.0 - self.p, out=self.maskf)
@@ -394,62 +381,39 @@ class _DropoutKernel:
 
 
 class _CrossEntropyKernel:
-    """Fused softmax cross-entropy, 2-D or stacked — exact ufunc replay."""
+    """Fused softmax cross-entropy — exact ufunc replay."""
 
-    __slots__ = ("stacked", "logits", "rows", "cols", "models", "mask",
-                 "mx", "shifted", "expb", "norm", "logp", "scratch",
-                 "picked", "loss_vec", "gln", "g_logits", "row_idx",
-                 "model_idx", "inv_count", "neg_inv")
+    __slots__ = ("logits", "rows", "cols", "mask", "mx", "shifted", "expb",
+                 "norm", "logp", "scratch", "picked", "gln", "g_logits",
+                 "row_idx", "inv_count", "neg_inv")
 
-    def __init__(self, logits_buf, logits_ref, stacked):
-        self.stacked = stacked
+    def __init__(self, logits_buf, logits_ref):
         self.logits = logits_buf
         shape = logits_ref.shape
-        if stacked:
-            self.models, self.rows, self.cols = shape
-            self.model_idx = np.arange(self.models)[:, None]
-            self.row_idx = np.arange(self.rows)[None, :]
-            self.picked = np.empty((self.models, self.rows))
-            self.loss_vec = np.empty(self.models)
-            self.gln = np.empty((self.models, self.rows, 1))
-            norm_shape = (self.models, self.rows, 1)
-        else:
-            self.models = 1
-            self.rows, self.cols = shape
-            self.model_idx = None
-            self.row_idx = np.arange(self.rows)
-            self.picked = np.empty(self.rows)
-            self.loss_vec = None
-            self.gln = np.empty((self.rows, 1))
-            norm_shape = (self.rows, 1)
+        self.rows, self.cols = shape
+        self.row_idx = np.arange(self.rows)
+        self.picked = np.empty(self.rows)
+        self.gln = np.empty((self.rows, 1))
         self.mask = np.empty(shape)
-        self.mx = np.empty(norm_shape)
+        self.mx = np.empty((self.rows, 1))
         self.shifted = np.empty(shape)
         self.expb = np.empty(shape)
-        self.norm = np.empty(norm_shape)
+        self.norm = np.empty((self.rows, 1))
         self.logp = np.empty(shape)
         self.scratch = np.empty(shape)
         self.g_logits = np.empty(shape)
         self.inv_count = 1.0 / self.rows
-        # backward seed is 1.0 per model; (-1.0) * inv_count is exact.
+        # backward seed is 1.0; (-1.0) * inv_count is exact.
         self.neg_inv = -self.inv_count
 
     @replay_kernel
     def forward(self, labels: np.ndarray):
-        if self.stacked:
-            if labels.shape != (self.models, self.rows):
-                raise ValueError(
-                    f"labels must have shape {(self.models, self.rows)}; "
-                    f"got {labels.shape}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.cols):
             raise ValueError(
                 f"labels must lie in [0, {self.cols}); got range "
                 f"[{labels.min()}, {labels.max()}]")
         self.mask.fill(0.0)
-        if self.stacked:
-            self.mask[self.model_idx, self.row_idx, labels] = 1.0
-        else:
-            self.mask[self.row_idx, labels] = 1.0
+        self.mask[self.row_idx, labels] = 1.0
         np.max(self.logits, axis=-1, keepdims=True, out=self.mx)
         np.subtract(self.logits, self.mx, out=self.shifted)
         np.exp(self.shifted, out=self.expb)
@@ -458,11 +422,6 @@ class _CrossEntropyKernel:
         np.subtract(self.shifted, self.mx, out=self.logp)
         np.multiply(self.logp, self.mask, out=self.scratch)
         np.sum(self.scratch, axis=-1, out=self.picked)
-        if self.stacked:
-            np.sum(self.picked, axis=-1, out=self.loss_vec)
-            np.multiply(self.loss_vec, self.inv_count, out=self.loss_vec)
-            np.negative(self.loss_vec, out=self.loss_vec)
-            return self.loss_vec
         return -(self.picked.sum() * self.inv_count)
 
     @replay_kernel
@@ -525,8 +484,8 @@ class _StepKernel:
 # -- trace compilation -------------------------------------------------------
 
 
-#: Where each op descriptor keeps its input tensor (ce/sce: the logits).
-_INPUT_SLOT = {"act": 2, "softmax": 2, "dropout": 3, "sdropout": 3}
+#: Where each op descriptor keeps its input tensor (ce: the logits).
+_INPUT_SLOT = {"act": 2, "softmax": 2, "dropout": 3}
 
 
 def _op_input(op):
@@ -536,17 +495,17 @@ def _op_input(op):
 def _op_struct(op) -> tuple:
     """Structural key: two ops with equal keys compile to the same kernel."""
     kind = op[0]
-    if kind in ("linear", "slinear"):
+    if kind == "linear":
         _, x_t, weight, bias, activation, out_t = op
         return (kind, id(weight), id(bias) if bias is not None else None,
                 activation, x_t.data.shape, out_t.data.shape)
     if kind == "act":
         return (kind, op[1], op[2].data.shape)
-    if kind in ("dropout", "sdropout"):
+    if kind == "dropout":
         return (kind, op[1], id(op[2]), op[3].data.shape)
     if kind == "flatten":
         return (kind, op[1].data.shape, op[2].data.shape)
-    if kind in ("ce", "sce"):
+    if kind == "ce":
         return (kind, op[1].data.shape)
     if kind == "softmax":
         return (kind, op[1], op[2].data.shape)
@@ -593,7 +552,7 @@ def _compile_forward(ops, x_shape, bound, params, sources):
             buf_of[id(out_t)] = x_b
             alias[id(out_t)] = id(x_t)
             continue
-        if kind in ("linear", "slinear"):
+        if kind == "linear":
             _, _x, weight, bias, activation, _o = op
             if activation not in (None, "relu", "tanh", "sigmoid"):
                 raise PlanUnsupported(f"activation {activation!r}")
@@ -601,17 +560,16 @@ def _compile_forward(ops, x_shape, bound, params, sources):
                       else _position(params, bias, "linear bias"))
             kernel = _LinearKernel(
                 bound, _position(params, weight, "linear weight"), bindex,
-                x_b, out_t.data, weight, bias, activation,
-                stacked=(kind == "slinear"))
+                x_b, out_t.data, weight, bias, activation)
         elif kind == "act":
             name = op[1]
             if name not in ("relu", "tanh", "sigmoid"):
                 raise PlanUnsupported(f"activation {name!r}")
             kernel = _ActKernel(name, x_b, out_t.data)
-        elif kind in ("dropout", "sdropout"):
+        elif kind == "dropout":
             kernel = _DropoutKernel(
                 op[1], bound, _position(sources, op[2], "dropout source"),
-                kind == "sdropout", x_b, out_t.data)
+                x_b, out_t.data)
         else:
             raise PlanUnsupported(f"unsupported op {kind!r}")
         buf_of[id(out_t)] = kernel.out
@@ -721,8 +679,7 @@ class _ProbaPlan:
         return self.softmax.out.copy()
 
 
-def _compile_fit(trace, params, sources, optimizer, sgd_steps: int, x_shape,
-                 stacked: bool):
+def _compile_fit(trace, params, sources, optimizer, sgd_steps: int, x_shape):
     """Compile a recorded ``fit`` trace into a :class:`_FitPlan`."""
     segments: list[list] = []
     segment: list = []
@@ -744,8 +701,7 @@ def _compile_fit(trace, params, sources, optimizer, sgd_steps: int, x_shape,
         if [_op_struct(op) for op in other] != structure:
             raise PlanUnsupported("sgd steps differ structurally")
     first = segments[0]
-    loss_kind = "sce" if stacked else "ce"
-    if not first or first[-1][0] != loss_kind:
+    if not first or first[-1][0] != "ce":
         raise PlanUnsupported("trace does not end in the expected loss")
     logits_t = first[-1][1]
     bound = _Binding()
@@ -754,7 +710,7 @@ def _compile_fit(trace, params, sources, optimizer, sgd_steps: int, x_shape,
     logits_buf = buf_of.get(id(logits_t))
     if logits_buf is None:
         raise PlanUnsupported("loss input not produced by the plan")
-    loss_kernel = _CrossEntropyKernel(logits_buf, logits_t.data, stacked)
+    loss_kernel = _CrossEntropyKernel(logits_buf, logits_t.data)
     _wire_backward(kernels, tensors, x_buf, loss_kernel, logits_t, alias)
 
     if (len(optimizer.parameters) != len(params)
@@ -929,11 +885,10 @@ def _loss_bytes(loss) -> bytes:
     return np.asarray(loss, dtype=np.float64).tobytes()
 
 
-def _fit(key, params, sources, rngs, optimizer, xr, labels, sgd_steps,
-         reference, stacked):
+def _fit(key, params, rngs, optimizer, xr, labels, sgd_steps, reference):
     """Replay ``key``'s plan, or capture it by running ``reference()``.
 
-    Returns the loss(es), or ``None`` when the key is unsupported and the
+    Returns the loss, or ``None`` when the key is unsupported and the
     caller must run the reference path itself.
     """
     cache = _cache()
@@ -941,7 +896,7 @@ def _fit(key, params, sources, rngs, optimizer, xr, labels, sgd_steps,
     if plan is _UNSUPPORTED:
         return None
     if plan is not None:
-        return _replay(plan, params, sources, optimizer, xr, labels)
+        return _replay(plan, params, rngs, optimizer, xr, labels)
     # Capture: trace + compile + verify; always advances state once.
     pre = _Snapshot(optimizer, rngs)
     trace = _record.Trace()
@@ -952,8 +907,8 @@ def _fit(key, params, sources, rngs, optimizer, xr, labels, sgd_steps,
         return _reject(cache, key, loss_ref)
     post = _Snapshot(optimizer, rngs)
     try:
-        plan = _compile_fit(trace, params, sources, optimizer, sgd_steps,
-                            xr.shape, stacked)
+        plan = _compile_fit(trace, params, rngs, optimizer, sgd_steps,
+                            xr.shape)
     except Exception:  # repro: noqa[REP004] — any compile failure means fall back, not crash training
         return _reject(cache, key, loss_ref)
     # Trial replay from the pre-capture state: it must land bit-for-bit
@@ -961,7 +916,7 @@ def _fit(key, params, sources, rngs, optimizer, xr, labels, sgd_steps,
     pre.restore()
     loss_plan = None
     try:
-        loss_plan = plan.replay(params, sources, optimizer, xr, labels)
+        loss_plan = plan.replay(params, rngs, optimizer, xr, labels)
     except Exception:  # repro: noqa[REP004] — trial replay failure → plan rejected below
         pass
     if (loss_plan is None or not _Snapshot(optimizer, rngs).matches(post)
@@ -992,9 +947,8 @@ def fit_with_plan(model, x, y):
     key = ("fit", structure, n, xr.size // n, model.module.training,
            tuple([layer.training for layer in dropouts]))
     rngs = [layer.rng for layer in dropouts]
-    loss = _fit(key, params, rngs, rngs, model.optimizer, xr.reshape(n, -1),
-                y, model.sgd_steps, lambda: model._fit_steps(x, y),
-                stacked=False)
+    loss = _fit(key, params, rngs, model.optimizer, xr.reshape(n, -1), y,
+                model.sgd_steps, lambda: model._fit_steps(x, y))
     return None if loss is None else float(loss)
 
 
@@ -1036,23 +990,3 @@ def proba_with_plan(model, x):
     _notify("capture", perf_counter() - start)
     return out_plan
 
-
-def stacked_fit_with_plan(stack, optimizer, xs, ys, sgd_steps, reference):
-    """``stacked_fit`` through the plan cache; ``None`` → reference path.
-
-    ``xs``/``ys`` arrive already reshaped to ``(models, batch, features)``
-    / ``(models, batch)``; ``reference`` is the uncaptured step loop,
-    passed in to keep this module import-cycle-free.  The key is the
-    stack's architecture plus shapes, so the serving layer's per-round
-    stack rebuilds replay the same plan, bound to each new stack.
-    """
-    if _capturing():
-        return None
-    key = ("stacked", stack.key, stack.num_models, xs.shape, sgd_steps,
-           type(optimizer), bool(stack.training))
-    sources = [op[2] for op in stack._plan if op[0] == "dropout"]
-    rngs = [layer.rng for layers in sources for layer in layers]
-    losses = _fit(key, stack.stacked_params, sources, rngs, optimizer, xs, ys,
-                  sgd_steps, lambda: reference(stack, optimizer, xs, ys,
-                                               sgd_steps), stacked=True)
-    return None if losses is None else losses.copy()

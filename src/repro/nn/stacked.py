@@ -12,12 +12,17 @@ preflattened in-place optimizers over the stacked parameters and
 import/export per-model optimizer state, so a group of mid-training
 models can be stacked, stepped, and unstacked at any point.
 
-**Equivalence contract.**  Every stacked operation replays, per model
-slice, the exact float operations of the serial per-model path: batched
-``np.matmul`` over a leading axis computes each slice with the same gemm
-as the 2-D call, elementwise ufuncs and per-row reductions are
-slice-identical, and Dropout draws each model's mask from that model's
-own generator in the serial order.  Predictions, losses, updated
+**Equivalence contract.**  The stack runs the same
+:mod:`repro.nn.functional` ops as a single model (``fused_linear``,
+``dropout``, ``cross_entropy``, ``softmax``), with the model axis in
+front, so every operation replays per model slice the exact float
+operations of the serial per-model path: batched ``np.matmul`` over a
+leading axis computes each slice with the same gemm as the 2-D call,
+elementwise ufuncs and per-row reductions are slice-identical, and
+Dropout draws each model's mask from that model's own generator in the
+serial order.  Stacked steps are not plan-captured: fleet size and row
+count both vary per dispatch round, so such plans churn instead of
+replaying (docs/PERF.md).  Predictions, losses, updated
 parameters, and optimizer state after :func:`unstack_models` are
 therefore **bitwise-identical** to running each model alone (asserted in
 ``tests/test_stacked.py`` and gated in ``benchmarks/bench_hotpath.py
@@ -33,23 +38,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.config import config as _perf_config
 from . import functional as F
-from . import plan as _plan
-from . import record as _record
 from .modules import (
+    _FUSABLE_ACTIVATIONS,
     Dropout,
     Flatten,
     Linear,
     Module,
     Parameter,
-    ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 from .optim import SGD, Adam
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "StackedModelError",
@@ -57,7 +57,6 @@ __all__ = [
     "stack_models",
     "unstack_models",
     "architecture_key",
-    "stacked_cross_entropy",
     "stacked_fit",
     "StackedSGD",
     "StackedAdam",
@@ -67,9 +66,6 @@ __all__ = [
 
 class StackedModelError(ValueError):
     """A model set cannot be stacked (heterogeneous, unsupported, …)."""
-
-
-_ACTIVATION_NAMES = {ReLU: "relu", Tanh: "tanh", Sigmoid: "sigmoid"}
 
 
 def _flatten_layers(module: Module) -> list[Module]:
@@ -94,8 +90,8 @@ def architecture_key(module: Module) -> tuple:
         if kind is Linear:
             ops.append(("linear", layer.in_features, layer.out_features,
                         layer.bias is not None))
-        elif kind in _ACTIVATION_NAMES:
-            ops.append((_ACTIVATION_NAMES[kind],))
+        elif kind in _FUSABLE_ACTIVATIONS:
+            ops.append((_FUSABLE_ACTIVATIONS[kind],))
         elif kind is Dropout:
             ops.append(("dropout", layer.p))
         elif kind is Flatten:
@@ -107,133 +103,6 @@ def architecture_key(module: Module) -> tuple:
     spec = tuple((name, parameter.data.shape, parameter.data.dtype.str)
                  for name, parameter in module.named_parameters())
     return (tuple(ops), spec)
-
-
-# -- fused stacked autograd nodes -------------------------------------------
-
-
-def _stacked_linear(x: Tensor, weight: Parameter, bias: Parameter | None,
-                    activation: str | None) -> Tensor:
-    """Batched affine map over ``(models, batch, features)`` input.
-
-    Mirrors :func:`repro.nn.functional.fused_linear` with a leading model
-    axis: batched gemms compute each model slice with the same float
-    operations as the per-model 2-D call, so values (and gradients) are
-    bitwise-identical per slice.
-    """
-    rec = _record.current() if _record.ACTIVE else None
-    if rec is not None:
-        rec.begin()
-    xd = x.data
-    wd = weight.data  # (models, out, in)
-    out = np.matmul(xd, np.swapaxes(wd, -1, -2))
-    if bias is not None:
-        np.add(out, bias.data[:, None, :], out=out)
-    act_state = None
-    if activation == "relu":
-        act_state = out > 0
-        out = np.maximum(out, 0.0)
-    elif activation == "tanh":
-        out = np.tanh(out)
-        act_state = out
-    elif activation == "sigmoid":
-        out = 1.0 / (1.0 + np.exp(-np.clip(out, -60.0, 60.0)))
-        act_state = out
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g: np.ndarray):
-        if activation == "relu":
-            g = g * act_state
-        elif activation == "tanh":
-            g = g * (1.0 - act_state * act_state)
-        elif activation == "sigmoid":
-            g = g * act_state * (1.0 - act_state)
-        grad_x = np.matmul(g, wd)
-        grad_weight = np.swapaxes(
-            np.matmul(np.swapaxes(xd, -1, -2), g), -1, -2)
-        if bias is None:
-            return grad_x, grad_weight
-        return grad_x, grad_weight, g.sum(axis=1)
-
-    out_t = Tensor._make(out, parents, backward)
-    if rec is not None:
-        rec.end(("slinear", x, weight, bias, activation, out_t))
-    return out_t
-
-
-def _stacked_dropout(x: Tensor, p: float,
-                     layers: list[Dropout]) -> Tensor:
-    """Inverted dropout drawing each model's mask from its own generator.
-
-    Model ``m``'s mask consumes exactly the draw the serial per-model
-    forward would have made from ``layers[m].rng``, so each model's RNG
-    stream advances identically whether it runs stacked or alone.
-    """
-    rec = _record.current() if _record.ACTIVE else None
-    if rec is not None:
-        rec.begin()
-    data = x.data
-    mask = np.empty(data.shape, dtype=data.dtype)
-    for index, layer in enumerate(layers):
-        mask[index] = (layer.rng.random(data.shape[1:]) >= p).astype(
-            data.dtype)
-    mask /= (1.0 - p)
-    out = x * Tensor(mask)
-    if rec is not None:
-        rec.end(("sdropout", p, layers, x, out))
-    return out
-
-
-def stacked_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Per-model softmax cross-entropy: ``(models,)`` losses in one node.
-
-    Replays :func:`repro.nn.functional._fused_cross_entropy`'s exact
-    ufunc sequence with a leading model axis — each model slice of the
-    forward and backward is bitwise-identical to the per-model fused (or
-    unfused) loss.  Seed ``backward`` with ``np.ones(models)`` to mirror
-    N independent scalar ``loss.backward()`` calls.
-    """
-    rec = _record.current() if _record.ACTIVE else None
-    if rec is not None:
-        rec.begin()
-    x = logits.data
-    if x.ndim != 3:
-        raise StackedModelError(
-            f"stacked_cross_entropy expects (models, batch, classes) "
-            f"logits; got shape {x.shape}")
-    models, rows, cols = x.shape
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (models, rows):
-        raise ValueError(
-            f"labels must have shape {(models, rows)}; got {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= cols):
-        raise ValueError(
-            f"labels must lie in [0, {cols}); got range "
-            f"[{labels.min()}, {labels.max()}]")
-    mask = np.zeros(x.shape)
-    mask[np.arange(models)[:, None], np.arange(rows)[None, :], labels] = 1.0
-    shifted = x - x.max(axis=-1, keepdims=True)
-    exp_shifted = np.exp(shifted)
-    norm = exp_shifted.sum(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(norm)
-    picked = (log_probs * mask).sum(axis=-1)
-    inv_count = 1.0 / rows
-    loss = -(picked.sum(axis=-1) * inv_count)
-
-    def backward(g: np.ndarray):
-        g_picked = np.broadcast_to((-g * inv_count)[:, None], (models, rows))
-        g_log_probs = np.broadcast_to(
-            np.expand_dims(g_picked, -1), (models, rows, cols))
-        g_masked = g_log_probs * mask
-        g_log_norm = (-g_masked).sum(axis=(2,), keepdims=True)
-        g_exp = np.broadcast_to(g_log_norm / norm, (models, rows, cols))
-        return (g_masked + g_exp * exp_shifted,)
-
-    out_t = Tensor._make(loss, (logits,), backward)
-    if rec is not None:
-        rec.end(("sce", logits, out_t))
-    return out_t
 
 
 # -- the stack ---------------------------------------------------------------
@@ -304,12 +173,12 @@ class ModelStack(Module):
                         if layer.bias is not None else None)
                 activation = None
                 if position + 1 < len(first):
-                    activation = _ACTIVATION_NAMES.get(
+                    activation = _FUSABLE_ACTIVATIONS.get(
                         type(first[position + 1]))
                 plan.append(("linear", weight, bias, activation))
                 position += 2 if activation is not None else 1
-            elif kind in _ACTIVATION_NAMES:
-                plan.append(("act", _ACTIVATION_NAMES[kind]))
+            elif kind in _FUSABLE_ACTIVATIONS:
+                plan.append(("act", _FUSABLE_ACTIVATIONS[kind]))
                 position += 1
             elif kind is Dropout:
                 plan.append(("dropout", layer.p,
@@ -332,43 +201,30 @@ class ModelStack(Module):
         for op in self._plan:
             kind = op[0]
             if kind == "linear":
-                x = _stacked_linear(x, op[1], op[2], op[3])
+                x = F.fused_linear(x, op[1], op[2], activation=op[3])
             elif kind == "act":
-                # The functional wrappers run the same Tensor method and
-                # additionally record the op for plan capture.
                 x = getattr(F, op[1])(x)
             elif kind == "dropout":
-                if self.training and op[1] > 0.0:
-                    x = _stacked_dropout(x, op[1], op[2])
+                x = F.dropout(x, op[1], self.training,
+                              [layer.rng for layer in op[2]])
             else:  # flatten: keep the model axis, flatten the rest per row
-                rec = _record.current() if _record.ACTIVE else None
-                if rec is not None:
-                    rec.begin()
-                out = x.reshape(self.num_models, x.data.shape[1], -1)
-                if rec is not None:
-                    rec.end(("flatten", x, out))
-                x = out
+                x = x.reshape(self.num_models, x.data.shape[1], -1)
         return x
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Per-model class probabilities for ``(models, batch, …)`` input.
 
         Mirrors ``NeuralStreamingModel.predict_proba`` per slice: eval
-        mode, no-grad forward, then the softmax ufunc chain (max → sub →
-        exp → sum → log → sub → exp) with a leading model axis.
+        mode, no-grad forward, then ``F.softmax`` over the class axis.
         """
-        from .tensor import no_grad
-
         x = np.asarray(x, dtype=float)
         x = x.reshape(self.num_models, x.shape[1], -1)
         self.eval()
         with no_grad():
             logits = self.forward(Tensor(x))
+            probabilities = F.softmax(logits, axis=-1)
         self.train()
-        data = logits.data
-        shifted = data - data.max(axis=-1, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        return np.exp(shifted - log_norm)
+        return probabilities.data
 
 
 def stack_models(modules: list[Module]) -> ModelStack:
@@ -402,24 +258,11 @@ def stacked_fit(stack: ModelStack, optimizer, xs: np.ndarray,
     xs = np.asarray(xs, dtype=float)
     xs = xs.reshape(stack.num_models, xs.shape[1], -1)
     ys = np.asarray(ys, dtype=np.int64).reshape(stack.num_models, -1)
-    if _perf_config.plan_capture and type(optimizer) in (StackedSGD,
-                                                         StackedAdam):
-        losses = _plan.stacked_fit_with_plan(stack, optimizer, xs, ys,
-                                             sgd_steps, _stacked_fit_steps)
-        if losses is not None:
-            return losses
-    return _stacked_fit_steps(stack, optimizer, xs, ys, sgd_steps)
-
-
-def _stacked_fit_steps(stack: ModelStack, optimizer, xs: np.ndarray,
-                       ys: np.ndarray, sgd_steps: int) -> np.ndarray:
-    """The reference step loop (also the trace target for plan capture)."""
     seed = np.ones(stack.num_models)
     losses = None
     for _ in range(sgd_steps):
         optimizer.zero_grad()
-        logits = stack(Tensor(xs))
-        loss = stacked_cross_entropy(logits, ys)
+        loss = F.cross_entropy(stack(Tensor(xs)), ys)
         loss.backward(seed)
         optimizer.step()
         losses = loss.data.copy()

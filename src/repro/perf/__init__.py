@@ -6,9 +6,8 @@ can consult it without cycles.  It bundles three things:
 
 - :data:`config` — global feature flags for every optimization introduced
   by the hot-path pass (autograd tape, fused linear, grad ownership,
-  in-place optimizers, cached nearest-neighbour norms, fused loss,
-  stacked execution, plan capture).  Each flag gates one optimization
-  whose output is bitwise-identical to the legacy path;
+  in-place optimizers, fused loss, plan capture).  Each flag gates one
+  optimization whose output is bitwise-identical to the legacy path;
   ``optimizations_disabled()`` restores the reference implementation
   wholesale so equivalence tests can diff the two.
 - :data:`POOL` — a thread-local per-shape scratch-buffer pool

@@ -13,6 +13,10 @@ Flags are plain attributes on a module-level singleton (:data:`config`)
 are process-global, not thread-local: the thread execution backend runs
 replicas under one configuration, and toggling mid-run from another
 thread is not a supported pattern (tests toggle around runs, not during).
+
+Only fast paths with a reference twin are flags.  Stacked serving is
+switched by ``ServeConfig.stacked_execution`` alone, and
+``EmbeddingHistory.nearest`` has one exact path.
 """
 
 from __future__ import annotations
@@ -40,18 +44,10 @@ class PerfConfig:
     inplace_optim:
         ``SGD``/``Adam`` update a single preflattened parameter buffer
         in place; parameters become views into it.
-    cached_nearest:
-        ``EmbeddingHistory.nearest`` maintains cached squared norms
-        incrementally instead of restacking the deque every call.
     fused_loss:
         ``cross_entropy`` runs as a single autograd node (replaying the
         ``log_softmax`` + ``nll_loss`` chain's exact float operations),
         and inference ``softmax`` skips graph construction entirely.
-    stacked_exec:
-        The serving layer may co-schedule same-architecture tenants'
-        micro-batches through one stacked tensor program
-        (:mod:`repro.nn.stacked`) instead of N serial per-model steps;
-        per-model results stay bitwise-identical to the serial loop.
     plan_capture:
         Trace a model's fit/inference step once into a compiled plan of
         flat ``out=``-style numpy kernels writing into a preallocated
@@ -63,8 +59,7 @@ class PerfConfig:
     """
 
     __slots__ = ("graph_tape", "fused_linear", "grad_ownership",
-                 "inplace_optim", "cached_nearest", "fused_loss",
-                 "stacked_exec", "plan_capture")
+                 "inplace_optim", "fused_loss", "plan_capture")
 
     def __init__(self, enabled: bool = True):
         self.set_all(enabled)

@@ -67,8 +67,8 @@ class ServeConfig:
     #: Co-schedule same-architecture tenants' ready micro-batches through
     #: one stacked tensor program (:mod:`repro.nn.stacked`).  Requires
     #: stackable estimators (e.g. :class:`~repro.serving.ModelEstimator`);
-    #: everything else falls back to the serial per-tenant path.  Also
-    #: gated by the ``stacked_exec`` perf flag, and bitwise-equivalent to
+    #: everything else falls back to the serial per-tenant path.  This is
+    #: the one switch for stacked serving, and it is bitwise-equivalent to
     #: serial execution per tenant (docs/SERVING.md, "Stacked execution").
     stacked_execution: bool = False
     #: Minimum same-key micro-batches worth stacking in one dispatch

@@ -31,7 +31,6 @@ import numpy as np
 
 from ..data.stream import Batch
 from ..obs import NULL_OBS, RequestShed
-from ..perf.config import config as _perf_config
 from ..resilience.degrade import CircuitBreaker
 from .config import ServeConfig
 from .registry import SessionRegistry
@@ -326,9 +325,6 @@ class StreamingService:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _stacked_enabled(self) -> bool:
-        return self.config.stacked_execution and _perf_config.stacked_exec
-
     async def _dispatch_loop(self) -> None:
         while True:
             tenant = await self._work.get()
@@ -336,7 +332,7 @@ class StreamingService:
                 return
             ready = [tenant]
             stopping = False
-            if self._stacked_enabled():
+            if self.config.stacked_execution:
                 # Drain every already-signaled tenant so same-architecture
                 # micro-batches that are ready together can co-schedule.
                 while True:

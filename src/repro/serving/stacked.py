@@ -1,12 +1,11 @@
 """Stacked co-scheduling for the serving layer.
 
 The dispatcher normally serves one tenant's micro-batch at a time.  With
-:attr:`~repro.serving.ServeConfig.stacked_execution` on (and the
-``stacked_exec`` perf flag), micro-batches that are ready in the same
-dispatch round and share a *stacking key* — same model architecture, same
-optimizer configuration, same row count, same labeledness — execute as
-**one** batched tensor program through :mod:`repro.nn.stacked` instead of
-N serial per-model steps.  Everything else (heterogeneous estimators,
+:attr:`~repro.serving.ServeConfig.stacked_execution` on, micro-batches
+that are ready in the same dispatch round and share a *stacking key* —
+same model architecture, same optimizer configuration, same row count,
+same labeledness — execute as **one** batched tensor program through
+:mod:`repro.nn.stacked` instead of N serial per-model steps.  Everything else (heterogeneous estimators,
 mismatched row counts, labeled/unlabeled fences, unsupported
 architectures) falls back to the serial per-tenant path.
 
@@ -15,11 +14,10 @@ tenant, served labels and post-update parameters are bitwise-identical
 to the serial loop, so the serving-equivalence replay gate in
 ``bench_serving.py`` holds with stacking on.
 
-Co-scheduling composes with the captured-plan engine: with the
-``plan_capture`` flag on, a recurring tenant-group signature runs the
-stacked step through a replayed plan (:mod:`repro.nn.plan`), stacking
-the amortization wins — one tensor program for N tenants, compiled once
-and replayed allocation-free.
+Stacked steps run unplanned, on the same :mod:`repro.nn.functional` ops
+as a single model.  Group size and row count change from round to round,
+so captured plans (:mod:`repro.nn.plan`) for them would churn through
+the plan cache instead of replaying; single-tenant steps still replay.
 
 :class:`ModelEstimator` adapts a bare
 :class:`~repro.models.base.NeuralStreamingModel` to the

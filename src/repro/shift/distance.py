@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.config import config as _perf_config
-
 __all__ = ["shift_distance", "nearest_distance", "EmbeddingHistory"]
 
 
@@ -50,10 +48,8 @@ class EmbeddingHistory:
     and evict — :meth:`nearest` and :meth:`as_array` never restack the
     history.  Appends are amortized O(d): eviction advances ``start``,
     and a compaction memmove runs once every ``capacity`` appends when
-    the window reaches the buffer's end.  A squared norm per row is
-    cached alongside, so with :data:`repro.perf.config.cached_nearest`
-    on, :meth:`nearest` expands ``|h - c|² = |h|² − 2 h·c + |c|²`` into
-    one matrix-vector product instead of forming the difference matrix.
+    the window reaches the buffer's end.  :meth:`nearest` is
+    :func:`nearest_distance` over the live window, bit for bit.
     """
 
     def __init__(self, capacity: int = 256, exclude_recent: int = 1):
@@ -64,7 +60,6 @@ class EmbeddingHistory:
         self.capacity = capacity
         self.exclude_recent = exclude_recent
         self._buffer: np.ndarray | None = None
-        self._norms: np.ndarray | None = None
         self._start = 0
         self._count = 0
 
@@ -85,18 +80,15 @@ class EmbeddingHistory:
             # (re)build the buffer in the new dimensionality.
             buffer = np.empty((2 * self.capacity, row.size))
             self._buffer = buffer
-            self._norms = np.empty(2 * self.capacity)
             self._start = 0
             self._count = 0
         end = self._start + self._count
         if end == buffer.shape[0]:
             # Window hit the buffer's end: slide it back to the front.
             buffer[:self._count] = buffer[self._start:end]
-            self._norms[:self._count] = self._norms[self._start:end]
             self._start = 0
             end = self._count
         buffer[end] = row
-        self._norms[end] = row @ row
         if self._count == self.capacity:
             self._start += 1  # evict the oldest row
         else:
@@ -117,11 +109,4 @@ class EmbeddingHistory:
         usable = self._count - self.exclude_recent
         if usable <= 0:
             return None
-        current = np.asarray(embedding, dtype=float).reshape(-1)
-        history = self._live(usable)
-        if _perf_config.cached_nearest and current.size == history.shape[1]:
-            norms = self._norms[self._start:self._start + usable]
-            squared = norms - 2.0 * (history @ current) + current @ current
-            index = int(squared.argmin())
-            return float(np.sqrt(max(float(squared[index]), 0.0))), index
-        return nearest_distance(current, history)
+        return nearest_distance(embedding, self._live(usable))

@@ -132,28 +132,38 @@ class TestEmbeddingHistoryIncrementalBuffer:
             if expected is None:
                 assert actual is None
             else:
-                distance, index = actual
-                assert index == expected[1]
-                np.testing.assert_allclose(distance, expected[0],
-                                           rtol=1e-12, atol=1e-12)
+                assert actual == expected
             np.testing.assert_array_equal(
                 history.as_array(), np.stack(rows[-capacity:])
             )
 
-    def test_cached_norms_match_reference_path(self):
-        from repro.perf import configure
-        from repro.shift.distance import EmbeddingHistory
+    def test_nearest_equals_exact_reference_bitwise(self):
+        # nearest() is nearest_distance over the oldest
+        # len(history) - exclude_recent live rows, bit for bit, through
+        # eviction and every compaction of the 2x-capacity buffer.
         rng = np.random.default_rng(10)
-        history = EmbeddingHistory(capacity=8, exclude_recent=1)
-        for _ in range(12):
-            history.append(rng.normal(size=4))
-        query = rng.normal(size=4)
-        with configure(cached_nearest=True):
-            fast = history.nearest(query)
-        with configure(cached_nearest=False):
-            slow = history.nearest(query)
-        assert fast[1] == slow[1]
-        np.testing.assert_allclose(fast[0], slow[0], rtol=1e-12, atol=1e-12)
+        capacity = 16
+        for exclude_recent in (0, 1, 3):
+            history = EmbeddingHistory(capacity=capacity,
+                                       exclude_recent=exclude_recent)
+            rows = []
+            for _ in range(5 * capacity):
+                row = rng.normal(size=8) * rng.choice([1e-3, 1.0, 1e3])
+                history.append(row)
+                rows.append(row)
+                live = rows[-capacity:]
+                usable = live[:max(len(live) - exclude_recent, 0)]
+                for _query in range(3):
+                    query = rng.normal(size=8) * rng.choice([1e-3, 1.0, 1e3])
+                    actual = history.nearest(query)
+                    if not usable:
+                        assert actual is None
+                        continue
+                    distance, index = nearest_distance(query,
+                                                       np.stack(usable))
+                    assert actual[1] == index
+                    assert (np.float64(actual[0]).tobytes()
+                            == np.float64(distance).tobytes())
 
     def test_dimension_change_rebuilds_buffer(self):
         from repro.shift.distance import EmbeddingHistory

@@ -284,6 +284,22 @@ class TestFallback:
         assert not cached()
         assert events == dict.fromkeys(events, 0)
 
+    def test_stacked_fit_leaves_the_cache_untouched(self):
+        # Stacked fleets run unplanned: their step never reaches the cache.
+        nn_plan.clear_plans()
+        models = [StreamingMLP(num_features=6, num_classes=3, seed=seed)
+                  for seed in range(3)]
+        stack = nn.stack_models([m.module for m in models])
+        optimizer = nn.make_stacked_optimizer(
+            stack, [m.optimizer for m in models])
+        rng = np.random.default_rng(8)
+        xs, ys = rng.normal(size=(3, 8, 6)), rng.integers(0, 3, (3, 8))
+        with configure(plan_capture=True):
+            _, events = events_during(lambda: [
+                nn.stacked_fit(stack, optimizer, xs, ys) for _ in range(3)])
+        assert not cached()
+        assert events == dict.fromkeys(events, 0)
+
     def test_pickling_drops_plans(self):
         model = StreamingLR(num_features=4, num_classes=2, seed=0)
         batches = make_batches(3, 8, 4, 2)
@@ -302,71 +318,6 @@ class TestFallback:
         results_b = run_stream(reference, batches, plans_on=False)
         assert_bitwise_equal(clone, reference, results_a[0], results_b[0],
                              results_a[1], results_b[1])
-
-
-# -- stacked plans ------------------------------------------------------------
-
-
-class TestStackedPlans:
-    def _fleet(self, num_models, seed=0):
-        models = [StreamingMLP(num_features=6, num_classes=3, seed=seed + s,
-                               momentum=0.9) for s in range(num_models)]
-        stack = nn.stack_models([m.module for m in models])
-        optimizer = nn.make_stacked_optimizer(
-            stack, [m.optimizer for m in models])
-        return models, stack, optimizer
-
-    def test_stacked_fit_replay_is_bitwise(self):
-        nn_plan.clear_plans()
-        rng = np.random.default_rng(8)
-        steps = [(rng.normal(size=(4, 8, 6)), rng.integers(0, 3, (4, 8)))
-                 for _ in range(8)]
-
-        def run(plans_on):
-            models, stack, optimizer = self._fleet(4)
-            losses = []
-            with configure(plan_capture=plans_on):
-                for xs, ys in steps:
-                    losses.append(nn.stacked_fit(stack, optimizer, xs, ys))
-            nn.unstack_models(stack)
-            return losses, [m.state_dict() for m in models]
-
-        losses_on, states_on = run(True)
-        losses_off, states_off = run(False)
-        assert [l.tobytes() for l in losses_on] == \
-            [l.tobytes() for l in losses_off]
-        for state_a, state_b in zip(states_on, states_off):
-            for key in state_a:
-                assert state_a[key].tobytes() == state_b[key].tobytes()
-        nn_plan.clear_plans()
-
-    def test_stacked_plan_survives_rebinding_to_new_fleet(self):
-        # Two different fleets with the same signature share one cached
-        # plan; bind() must rebind parameters, not leak the first fleet's.
-        nn_plan.clear_plans()
-        rng = np.random.default_rng(9)
-        xs = rng.normal(size=(3, 8, 6))
-        ys = rng.integers(0, 3, (3, 8))
-        with configure(plan_capture=True):
-            models_a, stack_a, opt_a = self._fleet(3, seed=0)
-            nn.stacked_fit(stack_a, opt_a, xs, ys)
-            losses_a = nn.stacked_fit(stack_a, opt_a, xs, ys)
-            nn.unstack_models(stack_a)
-            models_b, stack_b, opt_b = self._fleet(3, seed=40)
-            losses_b = nn.stacked_fit(stack_b, opt_b, xs, ys)
-            nn.unstack_models(stack_b)
-        # Different weights -> different losses; same plan served both.
-        assert losses_a.tobytes() != losses_b.tobytes()
-        with configure(plan_capture=False):
-            models_ref, stack_ref, opt_ref = self._fleet(3, seed=40)
-            losses_ref = nn.stacked_fit(stack_ref, opt_ref, xs, ys)
-            nn.unstack_models(stack_ref)
-        assert losses_b.tobytes() == losses_ref.tobytes()
-        for model_b, model_ref in zip(models_b, models_ref):
-            state_b, state_ref = model_b.state_dict(), model_ref.state_dict()
-            for key in state_b:
-                assert state_b[key].tobytes() == state_ref[key].tobytes()
-        nn_plan.clear_plans()
 
 
 # -- telemetry ----------------------------------------------------------------

@@ -678,16 +678,20 @@ class TestStackedServing:
         assert all(result.accepted for result in results)
         assert service.batches_stacked == 0
 
-    def test_perf_flag_gates_stacked_execution(self):
+    def test_config_switch_gates_stacked_execution(self):
         arrivals = zipf_tenants(80, 6, seed=4)
         requests = make_requests(arrivals, rows_per_request=8,
                                  num_features=NUM_FEATURES,
                                  num_classes=NUM_CLASSES, seed=4)
-        with optimizations_disabled():
-            results, service = self.serve_stacked(requests)
+        results, service = self.serve_stacked(requests, stacked=False)
         assert all(result.accepted for result in results)
         assert service.batches_stacked == 0
         assert service.stacked_groups == 0
+        # ServeConfig is the one switch: the perf flags do not gate it.
+        with optimizations_disabled():
+            results, service = self.serve_stacked(requests)
+        assert all(result.accepted for result in results)
+        assert service.batches_stacked > 0
 
     def test_unlabeled_requests_stack_without_updates(self):
         x = np.full((16, NUM_FEATURES), 0.5)

@@ -298,26 +298,118 @@ class TestStackedOptimizerState:
 
 
 class TestStackedCrossEntropy:
+    """``F.cross_entropy`` over ``(models, rows, classes)`` logits."""
+
     def test_losses_match_serial_bitwise(self):
         modules = [make_lr(seed) for seed in range(3)]
         batches = [make_batch(seed) for seed in range(3)]
-        serial_losses = [
-            float(F.cross_entropy(module(nn.Tensor(x)), y).data)
-            for module, (x, y) in zip(modules, batches)]
+        serial_losses, serial_grads = [], []
+        for module, (x, y) in zip(modules, batches):
+            module.zero_grad()
+            loss = F.cross_entropy(module(nn.Tensor(x)), y)
+            loss.backward()
+            serial_losses.append(float(loss.data))
+            serial_grads.append([p.grad.copy() for p in module.parameters()])
         stack = nn.stack_models(modules)
         logits = stack(nn.Tensor(np.stack([x for x, _y in batches])))
-        losses = nn.stacked_cross_entropy(
-            logits, np.stack([y for _x, y in batches]))
-        np.testing.assert_array_equal(losses.data, serial_losses)
+        losses = F.cross_entropy(logits, np.stack([y for _x, y in batches]))
+        assert losses.data.shape == (3,)
+        assert losses.data.tobytes() == np.array(serial_losses).tobytes()
+        losses.backward(np.ones(3))
+        for model, grads in enumerate(serial_grads):
+            for stacked, grad in zip(stack.stacked_params, grads):
+                assert stacked.grad[model].tobytes() == grad.tobytes()
 
     def test_shape_and_label_validation(self):
         stack = nn.stack_models([make_lr(0), make_lr(1)])
         x = np.stack([make_batch(0)[0], make_batch(1)[0]])
         logits = stack(nn.Tensor(x))
-        with pytest.raises(nn.StackedModelError, match="models, batch"):
-            nn.stacked_cross_entropy(nn.Tensor(np.zeros((4, 2))), [0, 1])
-        with pytest.raises(ValueError, match="labels"):
-            nn.stacked_cross_entropy(logits, np.zeros((2, 3), dtype=int))
+        with pytest.raises(ValueError, match=r"labels must have shape \(2, 12\)"):
+            F.cross_entropy(logits, np.zeros((2, 3), dtype=int))
+        with pytest.raises(ValueError, match="labels must have shape"):
+            F.cross_entropy(logits, np.zeros(24, dtype=int))
         bad = np.full((2, 12), NUM_CLASSES, dtype=int)
         with pytest.raises(ValueError, match="lie in"):
-            nn.stacked_cross_entropy(logits, bad)
+            F.cross_entropy(logits, bad)
+
+
+ACTIVATIONS = {"relu": nn.ReLU, "tanh": nn.Tanh, "sigmoid": nn.Sigmoid}
+OPTIMIZERS = {
+    "sgd-momentum": lambda params: nn.SGD(params, lr=0.05, momentum=0.9),
+    "adam": lambda params: nn.Adam(params, lr=0.01),
+}
+
+
+def make_deep(seed, activation, dropout, bias, hidden=8):
+    """Linear+act (fused), optional Dropout, then Linear, Flatten and a
+    standalone act (Flatten breaks the fusion), then the output Linear."""
+    rng = np.random.default_rng(seed)
+    act = ACTIVATIONS[activation]
+    layers = [nn.Linear(NUM_FEATURES, hidden, bias=bias, rng=rng), act()]
+    if dropout:
+        layers.append(nn.Dropout(0.3, rng=np.random.default_rng(seed + 500)))
+    layers += [nn.Linear(hidden, hidden, bias=bias, rng=rng), nn.Flatten(),
+               act(), nn.Linear(hidden, NUM_CLASSES, bias=bias, rng=rng)]
+    return nn.Sequential(*layers)
+
+
+class TestMergedOpsMatchSerial:
+    """Stacked runs the serial model's own ``F`` ops with a model axis:
+    losses, parameters, optimizer state, Dropout streams and predictions
+    all stay bitwise equal to N single-model runs."""
+
+    @pytest.mark.parametrize("sgd_steps", [1, 2])
+    @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_stacked_fit_matches_serial_bitwise(self, activation, dropout,
+                                                bias, optimizer, sgd_steps):
+        num_models, rounds = 3, 2
+        serial = [make_deep(seed, activation, dropout, bias)
+                  for seed in range(num_models)]
+        stacked = [make_deep(seed, activation, dropout, bias)
+                   for seed in range(num_models)]
+        serial_opts = [OPTIMIZERS[optimizer](m.parameters()) for m in serial]
+        stacked_opts = [OPTIMIZERS[optimizer](m.parameters())
+                        for m in stacked]
+        for step in range(rounds):
+            batches = [make_batch(10 * step + model)
+                       for model in range(num_models)]
+            serial_losses = []
+            for module, opt, (x, y) in zip(serial, serial_opts, batches):
+                for _ in range(sgd_steps):
+                    loss = serial_step(module, opt, x, y)
+                serial_losses.append(loss)
+            stack = nn.stack_models(stacked)
+            stacked_opt = nn.make_stacked_optimizer(stack, stacked_opts)
+            losses = nn.stacked_fit(stack, stacked_opt,
+                                    np.stack([x for x, _y in batches]),
+                                    np.stack([y for _x, y in batches]),
+                                    sgd_steps=sgd_steps)
+            nn.unstack_models(stack)
+            stacked_opt.export_to(stacked_opts)
+            assert losses.tobytes() == np.array(serial_losses).tobytes()
+        for stacked_module, serial_module in zip(stacked, serial):
+            for mine, theirs in zip(stacked_module.parameters(),
+                                    serial_module.parameters()):
+                assert mine.data.tobytes() == theirs.data.tobytes()
+            for mine, theirs in zip(stacked_module.layers,
+                                    serial_module.layers):
+                if isinstance(mine, nn.Dropout):
+                    assert (mine.rng.bit_generator.state
+                            == theirs.rng.bit_generator.state)
+        for stacked_opt, serial_opt in zip(stacked_opts, serial_opts):
+            serial_opt._export_flat_state()
+            for state in ("_velocity", "_m", "_v"):
+                mine = getattr(stacked_opt, state, {})
+                theirs = getattr(serial_opt, state, {})
+                assert set(mine) == set(theirs)
+                for index, value in theirs.items():
+                    assert mine[index].tobytes() == value.tobytes()
+        xs = np.stack([make_batch(90 + model)[0]
+                       for model in range(num_models)])
+        proba = nn.stack_models(stacked).predict_proba(xs)
+        for model, module in enumerate(serial):
+            assert (proba[model].tobytes()
+                    == serial_proba(module, xs[model]).tobytes())
