@@ -4,8 +4,11 @@ Measures LR / MLP / CNN learners over the three canonical stream shapes
 (A: slight directional drift, B: sudden concept switches, C: the mixed
 schedule with reoccurrences), in two modes:
 
-- ``optimized`` — the default flag state of :mod:`repro.perf`;
-- ``reference`` — everything under ``optimizations_disabled()``.
+- ``optimized`` — the default state of :mod:`repro.perf` (captured
+  plans on);
+- ``reference`` — plans off, under ``optimizations_disabled()``.  The
+  other fast paths have no switch, so they run in both modes; their
+  oracles live in ``tests/test_perf.py``.
 
 On a checkout that predates ``repro.perf`` (the "before" tree of the
 perf pass) the script still runs — both modes then measure the legacy
@@ -280,8 +283,8 @@ def measure_plans(kind: str, num_batches: int, repeats: int,
 
     Runs the serving pattern (predict, then train) directly on one
     streaming model over the slight-shift stream, with ``plan_capture``
-    on versus off — every other perf flag stays at its default, so the
-    speedup is plans-only.  The equivalence gate compares every loss,
+    on versus off — the only switch there is, so the speedup is
+    plans-only.  The equivalence gate compares every loss,
     every prediction, and the final parameters bitwise.
     """
     from repro.perf import configure

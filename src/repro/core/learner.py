@@ -55,8 +55,9 @@ _UNSET = object()  # sentinel distinguishing "not passed" from None
 
 
 class _NullStage:
-    """Zero-cost stand-in for :meth:`HotPathProfiler.stage` when profiling
-    is off — entering/exiting does nothing."""
+    """Zero-cost stand-in for a profiler scope (:meth:`HotPathProfiler.stage`,
+    the plan-event scope) when profiling is off — entering/exiting does
+    nothing."""
 
     __slots__ = ()
 
@@ -193,7 +194,9 @@ class Learner:
         ``train``, ``experience``, ``preserve``) are timed individually;
         ``python -m repro run --profile`` prints the breakdown, and with
         an enabled ``obs`` each sample also feeds the
-        ``freeway_hot_path_seconds{stage}`` histogram.  ``None`` (the
+        ``freeway_hot_path_seconds{stage}`` histogram.  Plan-cache events
+        raised inside this learner's ``predict``/``update`` land on it as
+        ``plan.*`` rows; other learners' events never do.  ``None`` (the
         default) costs one attribute check per stage.
     """
 
@@ -226,11 +229,6 @@ class Learner:
         self.num_classes = template.num_classes
         self.obs = obs if obs is not None else NULL_OBS
         self.profiler = profiler
-        if profiler is not None:
-            # Plan-cache events (capture/replay spans, the
-            # freeway_plan_cache counter) flow through the profiler for
-            # the lifetime of this learner; close() unhooks.
-            _nn_plan.add_plan_hook(profiler.observe_plan_event)
 
         sizes = [1] + [window_batches * (4 ** i) for i in range(num_models - 1)]
         self.ensemble = MultiGranularityEnsemble(
@@ -329,10 +327,18 @@ class Learner:
         profiler = self.profiler
         return _NULL_STAGE if profiler is None else profiler.stage(name)
 
+    def _plan_events(self):
+        """Scope sending the plan-cache events this learner's models raise
+        (capture/replay spans, the freeway_plan_cache counter) to its
+        profiler, and no other learner's (no-op without a profiler)."""
+        profiler = self.profiler
+        return (_NULL_STAGE if profiler is None
+                else _nn_plan.observing(profiler.observe_plan_event))
+
     def predict(self, x: np.ndarray) -> PredictionResult:
         """Classify the shift, select one strategy, and answer with it."""
-        with self.obs.tracer.span("learner.predict",
-                                  batch=self._event_index()) as span:
+        with self._plan_events(), self.obs.tracer.span(
+                "learner.predict", batch=self._event_index()) as span:
             # A reuse match is only valid for the batch it was found on; drop
             # any leftover from a predict whose labels never arrived.
             self._pending_reuse = None
@@ -670,8 +676,8 @@ class Learner:
         supplied when the caller already assessed this batch (avoiding a
         second PCA projection); otherwise it is computed here.
         """
-        with self.obs.tracer.span("learner.update",
-                                  batch=self._event_index()):
+        with self._plan_events(), self.obs.tracer.span(
+                "learner.update", batch=self._event_index()):
             if self.degrade:
                 x = self._sanitize_input(x)
             if embedding is None:
@@ -950,8 +956,6 @@ class Learner:
         DistributedLearner` overrides it to shut its worker pool down.
         Closing is idempotent.
         """
-        if self.profiler is not None:
-            _nn_plan.remove_plan_hook(self.profiler.observe_plan_event)
 
     def __enter__(self) -> "Learner":
         return self

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.config import config as _perf_config
 from . import record as _record
 from .tensor import Tensor, is_grad_enabled
 
@@ -176,7 +175,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     rec = _record.current() if _record.ACTIVE else None
     if rec is not None:
         rec.begin()
-    if _perf_config.fused_loss and not x.requires_grad:
+    if not x.requires_grad:
         # Inference fast path: no gradient can flow, so skip graph
         # construction and run the identical ufunc sequence on raw
         # arrays (max → sub → exp → sum → log → sub → exp).
@@ -266,15 +265,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     rec = _record.current() if _record.ACTIVE else None
     if rec is not None:
         rec.begin()
-    ndim = logits.data.ndim
-    if ndim == 3 or (_perf_config.fused_loss and ndim == 2):
+    if logits.data.ndim in (2, 3):
         out = _fused_cross_entropy(logits, labels)
     else:
         out = nll_loss(log_softmax(logits, axis=-1), labels)
     if rec is not None:
-        # One descriptor for both paths: the fused node replays the
-        # unfused chain's exact float ops, so one replay kernel serves
-        # either (the capture-time verify holds it to that).
         rec.end(("ce", logits, out))
     return out
 

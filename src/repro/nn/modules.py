@@ -15,7 +15,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ..perf.config import config as _perf_config
 from . import functional as F
 from . import init
 from . import record as _record
@@ -180,9 +179,7 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        if _perf_config.fused_linear:
-            return F.fused_linear(x, self.weight, self.bias)
-        return F.linear(x, self.weight, self.bias)
+        return F.fused_linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return (
@@ -297,10 +294,11 @@ _FUSABLE_ACTIVATIONS = {ReLU: "relu", Tanh: "tanh", Sigmoid: "sigmoid"}
 class Sequential(Module):
     """Run child modules in order.
 
-    With :data:`repro.perf.config.fused_linear` on, a ``Linear`` directly
-    followed by a ``ReLU``/``Tanh``/``Sigmoid`` executes as one fused
-    autograd node (:func:`repro.nn.functional.fused_linear`) — the values
-    are bitwise-identical, only the graph is smaller.
+    A ``Linear`` directly followed by a ``ReLU``/``Tanh``/``Sigmoid``
+    executes as one fused autograd node
+    (:func:`repro.nn.functional.fused_linear`) — the values are
+    bitwise-identical to running the two layers, only the graph is
+    smaller.
     """
 
     def __init__(self, *layers: Module):
@@ -310,13 +308,6 @@ class Sequential(Module):
             setattr(self, f"layer{index}", layer)
 
     def forward(self, x: Tensor) -> Tensor:
-        if _perf_config.fused_linear:
-            return self._forward_fused(x)
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def _forward_fused(self, x: Tensor) -> Tensor:
         layers = self.layers
         count = len(layers)
         index = 0

@@ -5,15 +5,11 @@ the streaming models.  :class:`FOBOS` and :class:`RDA` implement the
 regularized online-learning updates the Alink baseline integrates with
 logistic regression (see the paper's appendix, "Details of baseline").
 
-Hot path: with :data:`repro.perf.config.inplace_optim` on, ``SGD`` and
-``Adam`` update a single preflattened float64 buffer in place — each
-parameter's ``.data`` becomes a reshaped view into it, in the spirit of
-``state_spec``/``flatten_state`` from :mod:`repro.distributed.backends`.
-Every update is elementwise, and the in-place kernels issue the exact
-same per-element float operations as the legacy per-parameter loop, so
-results stay bitwise-identical (asserted in ``tests/test_perf.py``).
-External code that replaces ``parameter.data`` (``load_state_dict``,
-checkpoint restore) is re-adopted into the flat buffer on the next step.
+``SGD`` and ``Adam`` run one per-parameter loop.  Each step replaces
+``parameter.data`` with a fresh array, and optimizer state lives in
+per-parameter dicts keyed by parameter index (``_velocity``, ``_m``,
+``_v``), which is what checkpoints, stacked fleets and captured plans
+read and write.
 """
 
 from __future__ import annotations
@@ -22,37 +18,10 @@ from typing import Iterable
 
 import numpy as np
 
-from ..perf.config import config as _perf_config
 from . import record as _record
 from .tensor import Tensor
 
 __all__ = ["Optimizer", "SGD", "Adam", "FOBOS", "RDA"]
-
-
-class _FlatState:
-    """Preflattened parameter storage for the in-place optimizers."""
-
-    __slots__ = ("flat", "grad", "views", "slices", "scratch_a", "scratch_b",
-                 "extra")
-
-    def __init__(self, parameters: list[Tensor]):
-        total = sum(parameter.data.size for parameter in parameters)
-        self.flat = np.empty(total)
-        self.grad = np.empty(total)
-        self.scratch_a = np.empty(total)
-        self.scratch_b = np.empty(total)
-        self.views: list[np.ndarray] = []
-        self.slices: list[tuple[int, int]] = []
-        self.extra: dict[str, np.ndarray] = {}
-        offset = 0
-        for parameter in parameters:
-            count = parameter.data.size
-            view = self.flat[offset:offset + count].reshape(parameter.data.shape)
-            view[...] = parameter.data
-            parameter.data = view
-            self.views.append(view)
-            self.slices.append((offset, offset + count))
-            offset += count
 
 
 class Optimizer:
@@ -62,7 +31,6 @@ class Optimizer:
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
-        self._flat: _FlatState | None = None
 
     def zero_grad(self) -> None:
         """Clear all parameter gradients."""
@@ -77,69 +45,6 @@ class Optimizer:
         for index, parameter in enumerate(self.parameters):
             if parameter.grad is not None:
                 yield index, parameter, parameter.grad
-
-    # -- in-place fast path helpers -------------------------------------------
-
-    def _flat_state(self) -> _FlatState | None:
-        """Adopt parameters into the flat buffer; None when ineligible.
-
-        Eligibility: every parameter is float64 (mixed dtypes keep the
-        legacy loop).  A parameter whose ``.data`` was replaced since the
-        last step (``load_state_dict``, checkpoint restore) is copied
-        back into its view and re-adopted.  When the replacement no
-        longer fits its stale view (a restore changed shape or dtype),
-        the old buffer is dropped — salvaging its optimizer state — and
-        eligibility is re-evaluated from the parameters' *current* data,
-        so one incompatible restore does not disable the fast path for
-        the optimizer's remaining lifetime.
-        """
-        flat = self._flat
-        if flat is not None:
-            for parameter, view in zip(self.parameters, flat.views):
-                if parameter.data is view:
-                    continue
-                if (parameter.data.shape == view.shape
-                        and parameter.data.dtype == np.float64):
-                    view[...] = parameter.data
-                    parameter.data = view
-                    continue
-                self._drop_flat_state()
-                flat = None
-                break
-            if flat is not None:
-                return flat
-        if any(parameter.data.dtype != np.float64
-               for parameter in self.parameters):
-            return None
-        flat = _FlatState(self.parameters)
-        self._flat = flat
-        return flat
-
-    def _drop_flat_state(self) -> None:
-        """Retire the flat buffer, handing its state back per parameter.
-
-        Parameters still viewing the buffer keep their values (the views
-        keep the buffer alive until re-adoption copies them out).
-        """
-        if self._flat is None:
-            return
-        self._export_flat_state()
-        self._flat = None
-
-    def _export_flat_state(self) -> None:
-        """Hand flat-buffer optimizer state back to per-parameter dicts.
-
-        Base optimizers keep no extra state; ``SGD``/``Adam`` override.
-        """
-
-    def _gather_grads(self, flat: _FlatState) -> bool:
-        """Copy all parameter grads into ``flat.grad``; False if any is missing."""
-        if any(parameter.grad is None for parameter in self.parameters):
-            return False
-        buffer = flat.grad
-        for parameter, (start, end) in zip(self.parameters, flat.slices):
-            buffer[start:end] = parameter.grad.reshape(-1)
-        return True
 
 
 class SGD(Optimizer):
@@ -160,9 +65,6 @@ class SGD(Optimizer):
     def step(self) -> None:
         if _record.ACTIVE:
             _record.note_step(self)
-        if _perf_config.inplace_optim and self._flat_step():
-            return
-        self._export_flat_state()
         for index, parameter, grad in self._grads():
             if self.weight_decay:
                 grad = grad + self.weight_decay * parameter.data
@@ -175,49 +77,6 @@ class SGD(Optimizer):
                 self._velocity[index] = velocity
                 grad = velocity
             parameter.data = parameter.data - self.lr * grad
-
-    def _flat_step(self) -> bool:
-        """One whole-buffer in-place update; per-element ops match the loop."""
-        flat = self._flat_state()
-        if flat is None or not self._gather_grads(flat):
-            # Missing grads (or mixed dtypes) keep legacy subset semantics.
-            return False
-        grad = flat.grad
-        if self.weight_decay:
-            np.multiply(flat.flat, self.weight_decay, out=flat.scratch_a)
-            grad += flat.scratch_a
-        if self.momentum:
-            velocity = flat.extra.get("velocity")
-            if velocity is None:
-                velocity = np.zeros_like(flat.flat)
-                if self._velocity:  # migrate state from earlier legacy steps
-                    for index, (start, end) in enumerate(flat.slices):
-                        legacy = self._velocity.get(index)
-                        if legacy is not None and legacy.size == end - start:
-                            velocity[start:end] = legacy.reshape(-1)
-                    self._velocity.clear()
-                flat.extra["velocity"] = velocity
-            velocity *= self.momentum
-            velocity += grad
-            grad = velocity
-        np.multiply(grad, self.lr, out=flat.scratch_b)
-        flat.flat -= flat.scratch_b
-        return True
-
-    def _export_flat_state(self) -> None:
-        """Hand flat-buffer momentum back to the per-parameter dict."""
-        flat = self._flat
-        if flat is None:
-            return
-        velocity = flat.extra.pop("velocity", None)
-        if velocity is not None:
-            # The buffer's own layout (view shapes) is the state's true
-            # shape — parameter.data may have been replaced with a
-            # different shape since the last step.
-            for index, ((start, end), view) in enumerate(
-                    zip(flat.slices, flat.views)):
-                self._velocity[index] = (
-                    velocity[start:end].reshape(view.shape).copy())
 
 
 class Adam(Optimizer):
@@ -241,9 +100,6 @@ class Adam(Optimizer):
         if _record.ACTIVE:
             _record.note_step(self)
         self._step_count += 1
-        if _perf_config.inplace_optim and self._flat_step():
-            return
-        self._export_flat_state()
         t = self._step_count
         bias1 = 1.0 - self.beta1 ** t
         bias2 = 1.0 - self.beta2 ** t
@@ -263,70 +119,6 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             parameter.data = parameter.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def _flat_step(self) -> bool:
-        """Whole-buffer Adam update, bitwise-equal to the per-parameter loop."""
-        flat = self._flat_state()
-        if flat is None or not self._gather_grads(flat):
-            return False
-        t = self._step_count
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
-        grad = flat.grad
-        if self.weight_decay:
-            np.multiply(flat.flat, self.weight_decay, out=flat.scratch_a)
-            grad += flat.scratch_a
-        m = flat.extra.get("m")
-        v = flat.extra.get("v")
-        if m is None:
-            m = np.zeros_like(flat.flat)
-            v = np.zeros_like(flat.flat)
-            if self._m:  # migrate state from earlier legacy steps
-                for index, (start, end) in enumerate(flat.slices):
-                    legacy_m = self._m.get(index)
-                    legacy_v = self._v.get(index)
-                    if legacy_m is not None and legacy_m.size == end - start:
-                        m[start:end] = legacy_m.reshape(-1)
-                    if legacy_v is not None and legacy_v.size == end - start:
-                        v[start:end] = legacy_v.reshape(-1)
-                self._m.clear()
-                self._v.clear()
-            flat.extra["m"] = m
-            flat.extra["v"] = v
-        # Each line replays one elementwise op of the legacy expressions,
-        # in the same order, so every float result is identical.
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=flat.scratch_a)
-        m += flat.scratch_a
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=flat.scratch_a)
-        flat.scratch_a *= grad
-        v += flat.scratch_a
-        np.divide(m, bias1, out=flat.scratch_a)          # m_hat
-        np.divide(v, bias2, out=flat.scratch_b)          # v_hat
-        np.sqrt(flat.scratch_b, out=flat.scratch_b)
-        flat.scratch_b += self.eps
-        flat.scratch_a *= self.lr
-        flat.scratch_a /= flat.scratch_b
-        flat.flat -= flat.scratch_a
-        return True
-
-    def _export_flat_state(self) -> None:
-        """Hand flat-buffer moments back to the per-parameter dicts."""
-        flat = self._flat
-        if flat is None:
-            return
-        m = flat.extra.pop("m", None)
-        v = flat.extra.pop("v", None)
-        if m is None:
-            return
-        # Export at the buffer's own layout (view shapes): a replaced
-        # parameter.data may no longer match the state's true shape.
-        for index, ((start, end), view) in enumerate(
-                zip(flat.slices, flat.views)):
-            shape = view.shape
-            self._m[index] = m[start:end].reshape(shape).copy()
-            self._v[index] = v[start:end].reshape(shape).copy()
 
 
 def _soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:

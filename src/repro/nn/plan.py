@@ -27,19 +27,21 @@ clones, unpickled copies and rehydrated serving tenants thus all replay
 the one plan that was verified once.  The whole engine sits behind the
 ``plan_capture`` flag in :mod:`repro.perf.config`.  Plans cover single
 2-D models only: stacked fleets (:mod:`repro.nn.stacked`) change fleet
-size and row count from round to round, so they run unplanned.
+size and row count from round to round, so they run unplanned.  Plan
+events go to the caller's :func:`observing` scope, never to the plan.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import weakref
 from collections import Counter, OrderedDict
+from contextvars import ContextVar
 from time import perf_counter
 
 import numpy as np
 
-from ..perf.config import config as _perf_config
 from . import record as _record
 from .modules import Dropout
 from .optim import Adam, Optimizer, SGD
@@ -47,8 +49,7 @@ from .optim import Adam, Optimizer, SGD
 __all__ = [
     "PlanUnsupported",
     "replay_kernel",
-    "add_plan_hook",
-    "remove_plan_hook",
+    "observing",
     "plan_cache_stats",
     "fit_with_plan",
     "proba_with_plan",
@@ -81,30 +82,30 @@ def replay_kernel(fn):
 
 # -- events ------------------------------------------------------------------
 
-_HOOKS: list = []
-_HOOKS_LOCK = threading.Lock()
+#: The calling context's plan-event observer (see :func:`observing`).
+_OBSERVER: ContextVar = ContextVar("repro_plan_observer", default=None)
 _STATS: Counter = Counter()
 _STATS_LOCK = threading.Lock()
 
 
-def add_plan_hook(hook) -> None:
-    """Register ``hook(event, seconds)`` for plan-cache events.
+@contextlib.contextmanager
+def observing(observer):
+    """Send the plan-cache events this context raises to ``observer``.
 
-    Events: ``"capture"`` (a plan was compiled and verified),
-    ``"replay"`` (a cached plan ran; timed only while hooks are
-    registered), ``"unsupported"`` (capture fell back permanently for a
-    signature), ``"invalidate"`` (a cached plan was dropped).
+    ``observer(event, seconds)`` receives ``"capture"`` (a plan was
+    compiled and verified), ``"replay"`` (a cached plan ran; timed only
+    while observed), ``"unsupported"`` (capture fell back permanently
+    for a signature) and ``"invalidate"`` (a cached plan was dropped).
+    Plans are shared by every model of one architecture, so events are
+    attributed to the caller that raised them, never to the plan.  A
+    context variable does not follow work into an already-running
+    thread pool: code on another thread enters its own scope.
     """
-    with _HOOKS_LOCK:
-        if hook not in _HOOKS:
-            _HOOKS.append(hook)
-
-
-def remove_plan_hook(hook) -> None:
-    """Unregister a hook added with :func:`add_plan_hook`."""
-    with _HOOKS_LOCK:
-        if hook in _HOOKS:
-            _HOOKS.remove(hook)
+    token = _OBSERVER.set(observer)
+    try:
+        yield
+    finally:
+        _OBSERVER.reset(token)
 
 
 def plan_cache_stats() -> dict:
@@ -126,10 +127,9 @@ def plan_cache_stats() -> dict:
 def _notify(event: str, seconds: float = 0.0) -> None:
     with _STATS_LOCK:
         _STATS[event] += 1
-    with _HOOKS_LOCK:
-        hooks = list(_HOOKS)
-    for hook in hooks:
-        hook(event, seconds)
+    observer = _OBSERVER.get()
+    if observer is not None:
+        observer(event, seconds)
 
 
 # -- state snapshot for capture-time verification ----------------------------
@@ -160,7 +160,6 @@ class _Snapshot:
 
     def _optimizer_state(self) -> dict:
         opt = self._optimizer
-        opt._export_flat_state()  # flat.extra → per-parameter dicts
         state: dict = {}
         if isinstance(opt, SGD):
             state["velocity"] = {k: v.copy() for k, v in opt._velocity.items()}
@@ -174,7 +173,6 @@ class _Snapshot:
         opt = self._optimizer
         for parameter, saved in self._params:
             parameter.data = saved.copy()
-        opt._export_flat_state()
         if isinstance(opt, SGD):
             opt._velocity.clear()
             opt._velocity.update(
@@ -467,18 +465,9 @@ class _StepKernel:
 
     @replay_kernel
     def step(self) -> None:
-        opt = self.bound.optimizer
         for parameter, grad in zip(self.bound.params, self.grads):
             parameter.grad = grad
-        if isinstance(opt, Adam):
-            opt._step_count += 1
-            if _perf_config.inplace_optim and opt._flat_step():
-                return
-            opt._step_count -= 1  # opt.step() re-bumps below
-        else:
-            if _perf_config.inplace_optim and opt._flat_step():
-                return
-        opt.step()
+        self.bound.optimizer.step()
 
 
 # -- trace compilation -------------------------------------------------------
@@ -863,14 +852,11 @@ def _capturing() -> bool:
 
 
 def _replay(plan, *args):
-    """``plan.replay(*args)``, counted (and timed while hooks listen)."""
-    start = perf_counter() if _HOOKS else 0.0
+    """``plan.replay(*args)``, counted (and timed while observed)."""
+    timed = _OBSERVER.get() is not None
+    start = perf_counter() if timed else 0.0
     result = plan.replay(*args)
-    if _HOOKS:
-        _notify("replay", perf_counter() - start)
-    else:
-        with _STATS_LOCK:
-            _STATS["replay"] += 1
+    _notify("replay", perf_counter() - start if timed else 0.0)
     return result
 
 

@@ -7,10 +7,10 @@ stacks N models' parameters along a leading model axis — the canonical
 per-model layout is exactly what ``state_spec``/``flatten_state`` in
 :mod:`repro.distributed.backends` flatten, here extended with a model
 axis — and :class:`ModelStack` runs one batched forward/backward for all
-N at once.  :class:`StackedSGD` / :class:`StackedAdam` extend the PR-5
-preflattened in-place optimizers over the stacked parameters and
-import/export per-model optimizer state, so a group of mid-training
-models can be stacked, stepped, and unstacked at any point.
+N at once.  :class:`StackedSGD` / :class:`StackedAdam` run the ``SGD`` /
+``Adam`` step over the stacked parameters and import/export per-model
+optimizer state, so a group of mid-training models can be stacked,
+stepped, and unstacked at any point.
 
 **Equivalence contract.**  The stack runs the same
 :mod:`repro.nn.functional` ops as a single model (``fused_linear``,
@@ -154,9 +154,8 @@ class ModelStack(Module):
         """Fold the lockstep layer sequences into stacked ops.
 
         A ``Linear`` directly followed by a fusable activation folds into
-        one node, mirroring ``Sequential._forward_fused`` (the folded and
-        unfolded forms are bitwise-identical, so the fold is safe in both
-        perf modes).
+        one node, mirroring ``Sequential.forward`` (the folded and
+        unfolded forms are bitwise-identical).
         """
         index_of = {id(parameter): position for position, parameter
                     in enumerate(self._source_params[0])}
@@ -310,10 +309,8 @@ def _gather_state(optimizers, state_name, index, stacked_parameter):
 class StackedSGD(SGD):
     """SGD over a :class:`ModelStack`'s stacked parameters.
 
-    Every update is elementwise, so the stacked step (including the PR-5
-    preflattened in-place fast path, which engages automatically on the
-    float64 stacked buffers) is bitwise-identical per model slice to N
-    independent ``SGD.step()`` calls.
+    Every update is elementwise, so the stacked step is bitwise-identical
+    per model slice to N independent ``SGD.step()`` calls.
     """
 
     def __init__(self, stack: ModelStack, lr: float, momentum: float = 0.0,
@@ -331,8 +328,6 @@ class StackedSGD(SGD):
                                stack.num_models)
         stacked = cls(stack, lr=first.lr, momentum=first.momentum,
                       weight_decay=first.weight_decay)
-        for optimizer in optimizers:
-            optimizer._export_flat_state()
         for index, parameter in enumerate(stacked.parameters):
             velocity = _gather_state(optimizers, "_velocity", index,
                                      parameter)
@@ -342,7 +337,6 @@ class StackedSGD(SGD):
 
     def export_to(self, optimizers: list[SGD]) -> None:
         """Slice accumulated state back into the per-model optimizers."""
-        self._export_flat_state()
         for index, velocity in self._velocity.items():
             for model, optimizer in enumerate(optimizers):
                 optimizer._velocity[index] = velocity[model].copy()
@@ -378,8 +372,6 @@ class StackedAdam(Adam):
         stacked = cls(stack, lr=first.lr, betas=(first.beta1, first.beta2),
                       eps=first.eps, weight_decay=first.weight_decay)
         stacked._step_count = first._step_count
-        for optimizer in optimizers:
-            optimizer._export_flat_state()
         for index, parameter in enumerate(stacked.parameters):
             for state_name, target in (("_m", stacked._m),
                                        ("_v", stacked._v)):
@@ -391,7 +383,6 @@ class StackedAdam(Adam):
 
     def export_to(self, optimizers: list[Adam]) -> None:
         """Slice accumulated state back into the per-model optimizers."""
-        self._export_flat_state()
         for optimizer in optimizers:
             optimizer._step_count = self._step_count
         for state_name in ("_m", "_v"):

@@ -15,16 +15,14 @@ The design mirrors PyTorch's eager autograd:
 - broadcasting is supported, with gradients summed back to the original
   operand shapes.
 
-Hot path (see ``docs/PERF.md``): when :data:`repro.perf.config.graph_tape`
-is on, nodes are also recorded on a per-thread *tape* in creation order —
-a creation order is already a valid topological order, so ``backward()``
-replays the tape slice in reverse instead of re-deriving the order with a
-DFS every step.  Graphs that span a tape boundary (nodes created before a
-previous ``backward`` cycled the tape) fall back to the DFS for the
-remainder, so the tape is a pure fast path, never a correctness
-assumption.  With :data:`~repro.perf.config.grad_ownership` on,
-``_accumulate`` adopts privately-owned gradient buffers instead of
-defensively copying them (see :func:`repro.perf.can_own`).
+Hot path (see ``docs/PERF.md``): nodes are also recorded on a per-thread
+*tape* in creation order — a creation order is already a valid
+topological order, so ``backward()`` replays the tape slice in reverse
+instead of re-deriving the order with a DFS every step.  Graphs that
+span a tape boundary (nodes created before a previous ``backward``
+cycled the tape) fall back to the DFS (:meth:`Tensor._run_dfs`, also the
+tests' oracle) for the remainder, so the tape is a pure fast path, never
+a correctness assumption.
 
 Only the operations needed by the streaming models in this repository are
 implemented, but each is implemented fully (correct broadcasting, correct
@@ -39,8 +37,6 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from ..perf import can_own as _can_own
-from ..perf.config import config as _perf_config
 from . import record as _record
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones"]
@@ -69,7 +65,20 @@ def _current_tape() -> list:
 
 
 def _cycle_tape(tape: list) -> None:
-    """Start a fresh tape after a backward pass consumed ``tape``."""
+    """Start a fresh tape after a backward pass consumed ``tape``.
+
+    The consumed list and its nodes still reference each other through
+    ``node._tape``, so every trained graph (a conv layer's im2col
+    ``cols`` included) waits for the cyclic GC.  That is deliberate for
+    now: breaking the cycle here (clearing the list and every node's
+    ``_tape``) cut ``stream-cnn`` peak RSS from 100 to 69 MB and
+    ``stream-mlp`` from 113 to 97 MB, but also cut ``stream-cnn`` rows/s
+    by 12-16% and raised its p99 by 36-37% (perfbench, 2 interleaved
+    pairs).  Turning the tape off shows the same CNN shift, so the
+    tape's CNN win tracks *when* the graph's arrays are freed, not the
+    DFS it skips; the mechanism (allocator page faults are the suspect)
+    is unverified.
+    """
     if getattr(_grad_state, "tape", None) is tape:
         _grad_state.tape = []
 
@@ -161,11 +170,10 @@ class Tensor:
         if requires:
             out._parents = parents
             out._backward = backward
-            if _perf_config.graph_tape:
-                tape = _current_tape()
-                out._tape = tape
-                out._tape_pos = len(tape)
-                tape.append(out)
+            tape = _current_tape()
+            out._tape = tape
+            out._tape_pos = len(tape)
+            tape.append(out)
         return out
 
     # -- basic protocol ------------------------------------------------------
@@ -221,16 +229,12 @@ class Tensor:
         """Reset the accumulated gradient."""
         self.grad = None
 
-    def _accumulate(self, grad: np.ndarray, own: bool = False) -> None:
+    def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:
-            # ``own=True`` certifies the buffer is private (no op closure or
-            # sibling parent aliases it), so adopting it skips the defensive
-            # copy.  Re-check base: _unbroadcast can hand back a view.
-            if own and grad.base is None:
-                self.grad = grad
-            else:
-                self.grad = grad.copy()
+            # Always a fresh copy: the contribution may alias an op's saved
+            # array or a sibling parent's gradient (``a + a``).
+            self.grad = grad.copy()
         else:
             self.grad = self.grad + grad
 
@@ -252,8 +256,7 @@ class Tensor:
         grad = np.asarray(_as_array(grad), dtype=self.data.dtype)
 
         tape = self._tape
-        if (tape is not None and self._backward is not None
-                and _perf_config.graph_tape):
+        if tape is not None:
             self._backward_tape(grad, tape)
         else:
             Tensor._run_dfs([(self, grad)])
@@ -324,17 +327,11 @@ class Tensor:
         for parent, contribution in zip(self._parents, contributions):
             if contribution is None or not parent.requires_grad:
                 continue
-            raw = contribution
             contribution = _unbroadcast(
                 np.asarray(contribution, dtype=parent.data.dtype), parent.data.shape
             )
             if parent._backward is None:
-                # A contribution transformed by asarray/_unbroadcast is a
-                # fresh local array; otherwise ask the pool's aliasing
-                # oracle whether the closure's buffer is private.
-                own = _perf_config.grad_ownership and (
-                    contribution is not raw or _can_own(raw, grad))
-                parent._accumulate(contribution, own=own)
+                parent._accumulate(contribution)
             else:
                 key = id(parent)
                 if key in grads:

@@ -1,15 +1,14 @@
-"""Hot-path performance layer: feature flags, buffer pool, stage profiler.
+"""Hot-path performance layer: the plan switch, buffer pool, stage profiler.
 
 ``repro.perf`` is deliberately a *leaf* package: it imports nothing from
 :mod:`repro.nn`, :mod:`repro.core`, or :mod:`repro.shift` so those modules
 can consult it without cycles.  It bundles three things:
 
-- :data:`config` — global feature flags for every optimization introduced
-  by the hot-path pass (autograd tape, fused linear, grad ownership,
-  in-place optimizers, fused loss, plan capture).  Each flag gates one
-  optimization whose output is bitwise-identical to the legacy path;
-  ``optimizations_disabled()`` restores the reference implementation
-  wholesale so equivalence tests can diff the two.
+- :data:`config` — the one hot-path switch, ``plan_capture``
+  (captured-plan replay, bitwise-identical to the define-by-run path).
+  ``optimizations_disabled()`` turns it off so equivalence tests can
+  diff the two.  Every other fast path is switchless, with its oracle
+  kept next to the tests (see ``docs/PERF.md``).
 - :data:`POOL` — a thread-local per-shape scratch-buffer pool
   (:class:`BufferPool`), safe under the thread execution backend because
   free lists are never shared across threads.
@@ -23,8 +22,7 @@ See ``docs/PERF.md`` for the design notes and the benchmark workflow.
 
 from .config import (PerfConfig, config, configure, optimizations_disabled,
                      optimizations_enabled)
-from .pool import (POOL, POOL_BUFFERS_GAUGE, POOL_HITS_COUNTER, BufferPool,
-                   can_own)
+from .pool import POOL, POOL_BUFFERS_GAUGE, POOL_HITS_COUNTER, BufferPool
 from .profile import HOT_PATH_HISTOGRAM, PLAN_CACHE_COUNTER, HotPathProfiler
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "optimizations_enabled",
     "BufferPool",
     "POOL",
-    "can_own",
     "POOL_BUFFERS_GAUGE",
     "POOL_HITS_COUNTER",
     "HotPathProfiler",

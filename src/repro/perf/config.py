@@ -1,22 +1,25 @@
-"""Feature flags for the hot-path optimizations.
+"""The one hot-path switch: captured-plan replay.
 
-Every optimization in the perf pass is individually switchable so that
+Every op has exactly one execution path.  The single exception is
+:attr:`PerfConfig.plan_capture`, whose reference twin is the
+define-by-run path itself, so that
 
-- equivalence tests can assert the optimized and reference paths produce
+- equivalence tests can assert planned and unplanned runs produce
   bitwise-identical results (``with optimizations_disabled(): ...``),
-- the regression bench can measure before/after on the same build, and
-- a single misbehaving optimization can be turned off in the field
-  without reverting the release.
+- the benchmarks can measure plans on and off on the same build, and
+- plan replay can be turned off in the field without reverting the
+  release.
 
-Flags are plain attributes on a module-level singleton (:data:`config`)
-— one attribute load per check on the hot path, no function call.  They
-are process-global, not thread-local: the thread execution backend runs
-replicas under one configuration, and toggling mid-run from another
-thread is not a supported pattern (tests toggle around runs, not during).
+The flag is a plain attribute on a module-level singleton
+(:data:`config`): one attribute load per check on the hot path, no
+function call.  It is process-global, not thread-local: the thread
+execution backend runs replicas under one configuration, and toggling
+mid-run from another thread is not a supported pattern (tests toggle
+around runs, not during).
 
-Only fast paths with a reference twin are flags.  Stacked serving is
-switched by ``ServeConfig.stacked_execution`` alone, and
-``EmbeddingHistory.nearest`` has one exact path.
+The other fast paths (the autograd tape, fused ``Linear`` + activation,
+fused cross-entropy, graph-free inference softmax) are switchless; their
+oracles are listed in ``docs/PERF.md``.
 """
 
 from __future__ import annotations
@@ -28,26 +31,10 @@ __all__ = ["PerfConfig", "config", "configure", "optimizations_disabled",
 
 
 class PerfConfig:
-    """The set of hot-path optimization switches (all on by default).
+    """The hot-path switch (on by default).
 
     Attributes
     ----------
-    graph_tape:
-        Record autograd nodes on a per-thread tape at creation time so
-        ``backward()`` replays the reverse order without a DFS topo sort.
-    fused_linear:
-        Collapse ``x @ W.T + b`` (and a following activation inside
-        ``Sequential``) into one autograd node.
-    grad_ownership:
-        Let ``Tensor._accumulate`` adopt a privately-owned gradient
-        buffer instead of copying it.
-    inplace_optim:
-        ``SGD``/``Adam`` update a single preflattened parameter buffer
-        in place; parameters become views into it.
-    fused_loss:
-        ``cross_entropy`` runs as a single autograd node (replaying the
-        ``log_softmax`` + ``nll_loss`` chain's exact float operations),
-        and inference ``softmax`` skips graph construction entirely.
     plan_capture:
         Trace a model's fit/inference step once into a compiled plan of
         flat ``out=``-style numpy kernels writing into a preallocated
@@ -58,8 +45,7 @@ class PerfConfig:
         define-by-run path.
     """
 
-    __slots__ = ("graph_tape", "fused_linear", "grad_ownership",
-                 "inplace_optim", "fused_loss", "plan_capture")
+    __slots__ = ("plan_capture",)
 
     def __init__(self, enabled: bool = True):
         self.set_all(enabled)
@@ -77,7 +63,7 @@ config = PerfConfig()
 
 @contextlib.contextmanager
 def configure(**flags: bool):
-    """Temporarily override individual flags: ``with configure(graph_tape=False): ...``."""
+    """Temporarily override flags: ``with configure(plan_capture=False): ...``."""
     unknown = set(flags) - set(PerfConfig.__slots__)
     if unknown:
         raise TypeError(f"unknown perf flags: {sorted(unknown)}")
@@ -93,7 +79,7 @@ def configure(**flags: bool):
 
 @contextlib.contextmanager
 def optimizations_disabled():
-    """Run the reference (unoptimized) implementations of everything."""
+    """Run the define-by-run reference path (no captured plans)."""
     previous = config.as_dict()
     try:
         config.set_all(False)
@@ -105,7 +91,7 @@ def optimizations_disabled():
 
 @contextlib.contextmanager
 def optimizations_enabled():
-    """Force every optimization on (the default state)."""
+    """Force captured plans on (the default state)."""
     previous = config.as_dict()
     try:
         config.set_all(True)

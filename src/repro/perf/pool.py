@@ -2,9 +2,7 @@
 
 :class:`BufferPool` keeps per-``(shape, dtype)`` free lists so scratch
 arrays can be recycled instead of reallocated.  No hot-path kernel draws
-from :data:`POOL` at present; the pool still publishes its statistics,
-and :func:`can_own` below is the aliasing oracle behind gradient
-ownership.
+from :data:`POOL` at present; the pool still publishes its statistics.
 
 Free lists live in ``threading.local`` storage, so two replicas running
 under the thread execution backend can never hand each other the same
@@ -19,12 +17,6 @@ this thread's free list — only call it when no live reference to the
 array (or a view of it) remains.  Arrays that are views (``arr.base is
 not None``) are refused, since releasing a view could recycle memory the
 base still exposes.
-
-:func:`can_own` is the aliasing oracle used by ``Tensor._accumulate``:
-a freshly-computed gradient contribution is *private* — safe to adopt
-without a defensive copy — exactly when it is a top-level buffer (not a
-view of some op's saved array) and not the very gradient being routed
-(ops like ``a + a`` deliver the same array twice).
 """
 
 from __future__ import annotations
@@ -33,8 +25,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["BufferPool", "POOL", "can_own", "POOL_BUFFERS_GAUGE",
-           "POOL_HITS_COUNTER"]
+__all__ = ["BufferPool", "POOL", "POOL_BUFFERS_GAUGE", "POOL_HITS_COUNTER"]
 
 #: Metric name for the idle-buffer gauge published by :meth:`BufferPool.publish`.
 POOL_BUFFERS_GAUGE = "freeway_pool_buffers"
@@ -145,13 +136,3 @@ class BufferPool:
 #: The process-wide pool (thread-local internally).
 POOL = BufferPool()
 
-
-def can_own(candidate: np.ndarray, source: np.ndarray) -> bool:
-    """Whether ``candidate`` is a private buffer safe to adopt as a gradient.
-
-    True when ``candidate`` is a top-level array (not a view whose base an
-    op closure may have retained) and is not ``source`` itself — the
-    gradient currently being routed, which sibling parents may also
-    receive (``a + a`` returns ``(g, g)``).
-    """
-    return candidate.base is None and candidate is not source

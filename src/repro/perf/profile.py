@@ -81,7 +81,7 @@ class HotPathProfiler:
             ).labels(stage=name).observe(float(seconds))
 
     def observe_plan_event(self, event: str, seconds: float) -> None:
-        """Plan-cache hook (see :func:`repro.nn.plan.add_plan_hook`).
+        """Plan-cache observer (see :func:`repro.nn.plan.observing`).
 
         Timed events (capture, replay) land as ``plan.<event>`` stages so
         :meth:`render` shows them next to the serving stages; every event

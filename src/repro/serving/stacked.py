@@ -111,7 +111,6 @@ class ModelEstimator:
         state = dict(model.state_dict())
         state["__meta__.updates"] = np.array(model.updates)
         optimizer = model.optimizer
-        optimizer._export_flat_state()
         if isinstance(optimizer, SGD):
             for index, velocity in optimizer._velocity.items():
                 state[f"__opt__.velocity.{index}"] = velocity.copy()

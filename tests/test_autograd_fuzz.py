@@ -107,14 +107,27 @@ class TestRandomExpressionGradients:
 
 
 class TestAliasedGradientOwnership:
-    """The grad-ownership fast path must never adopt an aliased buffer.
+    """A leaf's gradient must never alias a buffer it does not own.
 
     ``a + a`` (and friends) deliver the *same* gradient array to both
     parent slots; expressions that fan one tensor into many consumers
     accumulate several contributions into one grad.  If ``_accumulate``
     ever adopted a buffer it does not privately own, one contribution
-    would overwrite another.  These cases pin the hazard.
+    would overwrite another.  These cases pin the hazard, and hold the
+    tape backward bitwise to the DFS oracle (``Tensor._run_dfs``) on it.
     """
+
+    @staticmethod
+    def _leaf_grad(build, data, dfs):
+        """``d build(leaf).sum() / d leaf`` bytes, by tape or by DFS."""
+        leaf = Tensor(data.copy(), requires_grad=True)
+        out = build(leaf)
+        if dfs:
+            Tensor._run_dfs([(out, np.ones_like(out.data))])
+        else:
+            assert out._tape is not None
+            out.backward()
+        return leaf.grad.tobytes()
 
     def _aliased_value(self, leaf: Tensor) -> Tensor:
         doubled = leaf + leaf          # same grad array to both slots
@@ -132,23 +145,16 @@ class TestAliasedGradientOwnership:
         )
         np.testing.assert_allclose(leaf.grad, numeric, rtol=1e-4, atol=1e-7)
 
-    def test_ownership_flag_is_bitwise_neutral(self):
-        from repro.perf import configure
+    def test_aliased_tape_matches_dfs(self):
         rng = np.random.default_rng(6)
         data = rng.uniform(-0.7, 0.7, size=(8,))
-        grads = []
-        for own in (True, False):
-            with configure(grad_ownership=own):
-                leaf = Tensor(data.copy(), requires_grad=True)
-                self._aliased_value(leaf).backward()
-                grads.append(leaf.grad.tobytes())
-        assert grads[0] == grads[1]
+        assert (self._leaf_grad(self._aliased_value, data, dfs=False)
+                == self._leaf_grad(self._aliased_value, data, dfs=True))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_fuzzed_self_references(self, seed):
-        """Random self-referencing chains: ownership on == ownership off."""
-        from repro.perf import configure
+        """Random self-referencing chains: tape == DFS, bit for bit."""
         rng = np.random.default_rng(seed)
         data = rng.uniform(-0.9, 0.9, size=(3,))
 
@@ -160,10 +166,7 @@ class TestAliasedGradientOwnership:
 
         state = rng.bit_generator.state
         grads = []
-        for own in (True, False):
+        for dfs in (False, True):
             rng.bit_generator.state = state
-            with configure(grad_ownership=own):
-                leaf = Tensor(data.copy(), requires_grad=True)
-                build(leaf).backward()
-                grads.append(leaf.grad.tobytes())
+            grads.append(self._leaf_grad(build, data, dfs))
         assert grads[0] == grads[1]

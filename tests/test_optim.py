@@ -5,7 +5,6 @@ import pytest
 
 from repro import nn
 from repro.nn.optim import FOBOS, RDA, Adam, SGD, _soft_threshold
-from repro.perf.config import optimizations_disabled
 
 
 def quadratic_param(start=5.0):
@@ -150,28 +149,12 @@ class TestFOBOS:
 
 
 class TestFlatStateRecovery:
-    """The preflattened fast path must survive checkpoint restores.
+    """Optimizer state must survive checkpoint restores.
 
-    Regression: a ``.data`` replacement that no longer fit its stale flat
-    view (a shape-changing restore) made ``_flat_state`` return ``None``
-    on every later step, silently demoting the optimizer to the legacy
-    loop for its remaining lifetime.
+    A restore that changes a parameter's shape leaves stale momentum or
+    moments behind; the next step must restart them at the new shape,
+    exactly as a fresh optimizer would.
     """
-
-    def test_fast_path_reengages_after_shape_changing_restore(self):
-        p = nn.Parameter(np.zeros(4))
-        opt = SGD([p], lr=0.1, momentum=0.9)
-        p.grad = np.ones(4)
-        opt.step()
-        assert opt._flat is not None  # fast path engaged
-        # A checkpoint restore swaps in a differently-shaped buffer
-        # (e.g. the model was rebuilt with another width).
-        p.data = np.zeros(6)
-        p.grad = np.ones(6)
-        opt.step()
-        assert p.data.shape == (6,)
-        assert opt._flat is not None          # re-engaged, not disabled
-        assert p.data is opt._flat.views[0]   # re-adopted into the buffer
 
     def test_post_restore_sgd_steps_match_legacy_loop(self):
         rng = np.random.default_rng(0)
@@ -188,10 +171,9 @@ class TestFlatStateRecovery:
             opt.step()
         reference = nn.Parameter(restored.copy())
         ref_opt = SGD([reference], lr=0.05, momentum=0.9)
-        with optimizations_disabled():
-            for grad in grads:
-                reference.grad = grad.copy()
-                ref_opt.step()
+        for grad in grads:
+            reference.grad = grad.copy()
+            ref_opt.step()
         np.testing.assert_array_equal(p.data, reference.data)
 
     def test_adam_moments_reset_with_restored_shape(self):
@@ -207,30 +189,16 @@ class TestFlatStateRecovery:
         for grad in grads:
             p.grad = grad.copy()
             opt.step()
-        assert opt._flat is not None
         # The moments match a fresh Adam at the same step count run over
         # the post-restore gradients (stale-shape moments were reset, and
         # bias correction follows the surviving _step_count).
         reference = nn.Parameter(restored.copy())
         ref_opt = Adam([reference], lr=0.01)
         ref_opt._step_count = 2
-        with optimizations_disabled():
-            for grad in grads:
-                reference.grad = grad.copy()
-                ref_opt.step()
+        for grad in grads:
+            reference.grad = grad.copy()
+            ref_opt.step()
         np.testing.assert_array_equal(p.data, reference.data)
-
-    def test_same_shape_restore_keeps_fast_path_and_values(self):
-        p = nn.Parameter(np.full(5, 2.0))
-        opt = SGD([p], lr=0.5)
-        p.grad = np.ones(5)
-        opt.step()
-        view = opt._flat.views[0]
-        p.data = np.full(5, 7.0)  # same-shape restore
-        p.grad = np.ones(5)
-        opt.step()
-        assert p.data is view
-        np.testing.assert_array_equal(p.data, np.full(5, 6.5))
 
 
 class TestRDA:

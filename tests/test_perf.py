@@ -1,11 +1,13 @@
 """Tests for the hot-path performance layer (``repro.perf``).
 
-The contract of every optimization introduced by the perf pass is
-*bitwise* equivalence: with a flag on or off, the same stream must
-produce the same accuracy sequence and the same final parameters, down
-to the last float bit.  These tests hold that line — first per
-optimization (tape vs DFS, fused linear, fused loss, in-place
-optimizers), then end to end through ``Learner.process``.
+The contract of every fast path is *bitwise* equivalence with its
+reference: the same stream must produce the same accuracy sequence and
+the same final parameters, down to the last float bit.  These tests hold
+that line — first per fast path against the retained reference function
+(tape vs ``Tensor._run_dfs``, ``fused_linear`` vs ``F.linear`` plus
+Tensor activations, fused vs chained cross-entropy and softmax), then end
+to end through ``Learner.process``: plans on vs off, and the default path
+vs every reference patched in at once.
 """
 
 import numpy as np
@@ -16,10 +18,11 @@ from repro.core import Learner
 from repro.data.drift import (GaussianMixtureConcept, Segment,
                               stream_from_schedule)
 from repro.eval import model_factory_for
+from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.obs import Observability
 from repro.perf import (HOT_PATH_HISTOGRAM, BufferPool, HotPathProfiler,
-                        PerfConfig, can_own, config, configure,
+                        PerfConfig, config, configure,
                         optimizations_disabled, optimizations_enabled)
 
 
@@ -28,20 +31,22 @@ from repro.perf import (HOT_PATH_HISTOGRAM, BufferPool, HotPathProfiler,
 
 class TestPerfConfig:
     def test_all_flags_on_by_default(self):
-        assert all(config.as_dict().values())
+        assert PerfConfig.__slots__ == ("plan_capture",)
+        assert config.as_dict() == {"plan_capture": True}
 
     def test_configure_restores_on_exit(self):
         before = config.as_dict()
-        with configure(graph_tape=False, fused_loss=False):
-            assert not config.graph_tape
-            assert not config.fused_loss
-            assert config.fused_linear  # untouched flags stay on
+        with configure(plan_capture=False):
+            assert not config.plan_capture
         assert config.as_dict() == before
 
     def test_configure_rejects_unknown_flag(self):
-        with pytest.raises(TypeError, match="unknown perf flags"):
-            with configure(warp_drive=True):
-                pass  # pragma: no cover
+        # The switches of the switchless fast paths are gone for good.
+        for flag in ("warp_drive", "fused_loss", "graph_tape",
+                     "inplace_optim"):
+            with pytest.raises(TypeError, match="unknown perf flags"):
+                with configure(**{flag: False}):
+                    pass  # pragma: no cover
 
     def test_disabled_and_enabled_contexts(self):
         with optimizations_disabled():
@@ -104,27 +109,34 @@ class TestBufferPool:
                                 "idle_buffers": 0}
 
 
-class TestCanOwn:
-    def test_private_buffer_is_adoptable(self):
-        g = np.zeros(3)
-        assert can_own(np.ones(3), g)
-
-    def test_views_and_self_are_not(self):
-        g = np.zeros((2, 3))
-        assert not can_own(g, g)          # a + a delivers the same array twice
-        assert not can_own(g[0], np.zeros(3))  # view: base still exposed
+# -- per-fast-path bitwise equivalence ----------------------------------------
 
 
-# -- per-optimization bitwise equivalence -------------------------------------
+def _dfs_backward(loss):
+    """The reference backward: DFS topo sort from ``loss``, no tape."""
+    Tensor._run_dfs([(loss, np.ones_like(loss.data))])
 
 
-def _grads(model, x, y):
+def _unfused_forward(model, x):
+    """``model`` as ``F.linear`` plus Tensor activations, layer by layer."""
+    for layer in model.layers:
+        if type(layer) is nn.Linear:
+            x = F.linear(x, layer.weight, layer.bias)
+        else:
+            x = getattr(x, type(layer).__name__.lower())()
+    return x
+
+
+def _grads(model, x, y, forward=None, backward=None):
     """Forward + backward one batch; returns (loss_bits, grad arrays)."""
     for p in model.parameters():
         p.grad = None
-    out = model(nn.Tensor(x))
+    out = (forward or (lambda m, t: m(t)))(model, nn.Tensor(x))
     loss = F.cross_entropy(out, y)
-    loss.backward()
+    if backward is None:
+        loss.backward()
+    else:
+        backward(loss)
     return (loss.data.tobytes(),
             [p.grad.copy() for p in model.parameters()])
 
@@ -146,67 +158,43 @@ class TestBitwiseEquivalence:
     def test_tape_matches_dfs_backward(self):
         x, y = _small_problem()
         model = _mlp()
-        with configure(graph_tape=True):
-            loss_tape, grads_tape = _grads(model, x, y)
-        with configure(graph_tape=False):
-            loss_dfs, grads_dfs = _grads(model, x, y)
+        loss_tape, grads_tape = _grads(model, x, y)
+        loss_dfs, grads_dfs = _grads(model, x, y, backward=_dfs_backward)
         assert loss_tape == loss_dfs
         for a, b in zip(grads_tape, grads_dfs):
             assert a.tobytes() == b.tobytes()
 
     def test_fused_linear_matches_unfused(self):
         x, y = _small_problem(seed=5)
-        model = _mlp()
-        with configure(fused_linear=True):
+        for activation in (nn.ReLU, nn.Tanh, nn.Sigmoid):
+            rng = np.random.default_rng(0)
+            model = nn.Sequential(nn.Linear(6, 8, rng=rng), activation(),
+                                  nn.Linear(8, 4, rng=rng))
             loss_f, grads_f = _grads(model, x, y)
-        with configure(fused_linear=False):
-            loss_u, grads_u = _grads(model, x, y)
-        assert loss_f == loss_u
-        for a, b in zip(grads_f, grads_u):
-            assert a.tobytes() == b.tobytes()
+            loss_u, grads_u = _grads(model, x, y, forward=_unfused_forward)
+            assert loss_f == loss_u
+            for a, b in zip(grads_f, grads_u):
+                assert a.tobytes() == b.tobytes()
 
     def test_fused_loss_matches_chain(self):
         rng = np.random.default_rng(11)
         logits_data = rng.normal(scale=4.0, size=(64, 5))
         labels = rng.integers(0, 5, size=64)
         results = []
-        for fused in (True, False):
-            with configure(fused_loss=fused):
-                logits = nn.Tensor(logits_data.copy(), requires_grad=True)
-                loss = F.cross_entropy(logits, labels)
-                loss.backward()
-                results.append((loss.data.tobytes(),
-                                logits.grad.tobytes()))
+        for loss_fn in (F.cross_entropy,
+                        lambda z, t: F.nll_loss(F.log_softmax(z), t)):
+            logits = nn.Tensor(logits_data.copy(), requires_grad=True)
+            loss = loss_fn(logits, labels)
+            loss.backward()
+            results.append((loss.data.tobytes(), logits.grad.tobytes()))
         assert results[0] == results[1]
 
     def test_inference_softmax_matches_graph_path(self):
         rng = np.random.default_rng(13)
         logits = nn.Tensor(rng.normal(scale=6.0, size=(40, 7)))
-        with configure(fused_loss=True):
-            fast = F.softmax(logits).data
-        with configure(fused_loss=False):
-            slow = F.softmax(logits).data
+        fast = F.softmax(logits).data
+        slow = F.log_softmax(logits).exp().data
         assert fast.tobytes() == slow.tobytes()
-
-    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-    def test_inplace_optimizer_matches_reference(self, optimizer):
-        x, y = _small_problem(seed=7)
-
-        def train(flag):
-            model = _mlp()
-            if optimizer == "sgd":
-                opt = nn.SGD(model.parameters(), lr=0.1, momentum=0.9)
-            else:
-                opt = nn.Adam(model.parameters(), lr=0.01)
-            with configure(inplace_optim=flag):
-                for _ in range(5):
-                    opt.zero_grad()
-                    loss = F.cross_entropy(model(nn.Tensor(x)), y)
-                    loss.backward()
-                    opt.step()
-            return [p.data.tobytes() for p in model.parameters()]
-
-        assert train(True) == train(False)
 
 
 # -- end-to-end equivalence through the learner -------------------------------
@@ -221,31 +209,96 @@ def _probe_stream(num_batches=12, batch_size=64):
                                      num_classes=4))
 
 
+def _learner_run(kind, stream):
+    """Accuracy sequence and every level's ``state_dict`` bytes."""
+    factory = model_factory_for(kind, 16, 4, lr=0.3, seed=0)
+    learner = Learner(factory, seed=0)
+    accs = [learner.process(batch).accuracy for batch in stream]
+    params = [np.asarray(value).tobytes()
+              for level in learner.ensemble.levels
+              for value in level.model.state_dict().values()]
+    return accs, params
+
+
+@pytest.fixture
+def unfused_reference(monkeypatch):
+    """Installer for the retained reference of every switchless fast path.
+
+    Calling it patches in, until the test ends: ``Linear``/``Sequential``
+    forward as ``F.linear`` plus Tensor activations, 2-D
+    ``F.cross_entropy`` as ``nll_loss(log_softmax(.))``, ``F.softmax``
+    through the graph ops, and ``Tensor.backward`` as ``Tensor._run_dfs``.
+    Returns a counter of the patched calls, so a test can check the
+    references really ran.
+    """
+    from collections import Counter
+
+    calls = Counter()
+    fused_cross_entropy = F.cross_entropy
+
+    def linear_forward(self, x):
+        calls["linear"] += 1
+        return F.linear(x, self.weight, self.bias)
+
+    def sequential_forward(self, x):
+        calls["sequential"] += 1
+        for layer in self.layers:
+            x = layer(x)
+        return x
+
+    def chain_cross_entropy(logits, labels):
+        if logits.ndim != 2:
+            return fused_cross_entropy(logits, labels)
+        calls["cross_entropy"] += 1
+        return F.nll_loss(F.log_softmax(logits, axis=-1), labels)
+
+    def graph_softmax(x, axis=-1):
+        calls["softmax"] += 1
+        return F.log_softmax(x, axis=axis).exp()
+
+    def dfs_backward(self, grad=None):
+        calls["backward"] += 1
+        if grad is None:
+            grad = np.ones_like(self.data)
+        Tensor._run_dfs([(self, np.asarray(grad, dtype=self.data.dtype))])
+
+    def install():
+        monkeypatch.setattr(nn.Linear, "forward", linear_forward)
+        monkeypatch.setattr(nn.Sequential, "forward", sequential_forward)
+        monkeypatch.setattr(F, "cross_entropy", chain_cross_entropy)
+        monkeypatch.setattr(F, "softmax", graph_softmax)
+        monkeypatch.setattr(Tensor, "backward", dfs_backward)
+        return calls
+
+    return install
+
+
 class TestLearnerEquivalence:
     @pytest.mark.parametrize("kind", ["lr", "mlp"])
     def test_accuracy_sequence_and_params_bitwise_identical(self, kind):
+        """Captured plans on vs off."""
         stream = _probe_stream()
-
-        def run(optimized):
-            factory = model_factory_for(kind, 16, 4, lr=0.3, seed=0)
-            learner = Learner(factory, seed=0)
-            accs = []
-            if optimized:
-                for batch in stream:
-                    accs.append(learner.process(batch).accuracy)
-            else:
-                with optimizations_disabled():
-                    for batch in stream:
-                        accs.append(learner.process(batch).accuracy)
-            params = [np.asarray(value).tobytes()
-                      for level in learner.ensemble.levels
-                      for value in level.model.state_dict().values()]
-            return accs, params
-
-        accs_on, params_on = run(True)
-        accs_off, params_off = run(False)
+        accs_on, params_on = _learner_run(kind, stream)
+        with optimizations_disabled():
+            accs_off, params_off = _learner_run(kind, stream)
         assert accs_on == accs_off
         assert params_on == params_off
+
+    @pytest.mark.parametrize("kind", ["lr", "mlp"])
+    def test_unfused_reference_matches_default_path(self, kind,
+                                                    unfused_reference):
+        """The default path vs every reference at once, plans off."""
+        stream = _probe_stream()
+        accs_fast, params_fast = _learner_run(kind, stream)
+        calls = unfused_reference()
+        with optimizations_disabled():
+            accs_ref, params_ref = _learner_run(kind, stream)
+        expected = {"linear", "cross_entropy", "softmax", "backward"}
+        if kind == "mlp":
+            expected.add("sequential")
+        assert expected <= {name for name, count in calls.items() if count}
+        assert accs_fast == accs_ref
+        assert params_fast == params_ref
 
 
 # -- profiler -----------------------------------------------------------------

@@ -327,13 +327,10 @@ class TestPlanTelemetry:
     def test_profiler_hook_records_events_and_counter(self):
         obs = Observability(enabled=True)
         profiler = HotPathProfiler(obs=obs)
-        nn_plan.add_plan_hook(profiler.observe_plan_event)
-        try:
+        with nn_plan.observing(profiler.observe_plan_event):
             model = StreamingLR(num_features=4, num_classes=2, seed=0)
             batches = make_batches(4, 8, 4, 2)
             run_stream(model, batches, plans_on=True)
-        finally:
-            nn_plan.remove_plan_hook(profiler.observe_plan_event)
         summary = profiler.summary()
         assert "plan.capture" in summary
         assert "plan.replay" in summary
@@ -357,6 +354,34 @@ class TestPlanTelemetry:
         cold = nn_plan.plan_cache_stats()
         assert warm["entries"] - cold["entries"] == 2
         assert warm["arena_bytes"] - cold["arena_bytes"] == arena
+
+    def test_profiler_sees_only_its_own_learners_events(self):
+        from repro.core import Learner
+        from repro.data import ElectricitySimulator
+
+        def factory():
+            return StreamingMLP(num_features=8, num_classes=2, lr=0.3, seed=0)
+
+        def plan_rows(profiler):
+            return {name: stats["count"]
+                    for name, stats in profiler.summary().items()
+                    if name.startswith("plan.")}
+
+        profiler = HotPathProfiler()
+        learner_a = Learner(factory, seed=0)
+        learner_b = Learner(factory, seed=1, profiler=profiler)
+        batches = list(ElectricitySimulator(seed=3).stream(6, 64))
+        with configure(plan_capture=True):
+            for batch in batches:
+                learner_a.process(batch)
+            # A captured and replayed plans that B shares by architecture,
+            # but none of those events are B's.
+            assert nn_plan.plan_cache_stats().get("replay", 0) > 0
+            assert plan_rows(profiler) == {}
+            for batch in batches:
+                learner_b.process(batch)
+        rows = plan_rows(profiler)
+        assert rows.get("plan.replay", 0) > 0
 
     def test_stats_count_replays_without_hooks(self):
         before = nn_plan.plan_cache_stats().get("replay", 0)
@@ -542,10 +567,11 @@ class TestSharedPlans:
         def factory():
             return StreamingMLP(num_features=8, num_classes=2, lr=0.3, seed=0)
 
-        def run(backend, plans_on):
+        def run(backend, plans_on, profiler=None):
             distributed = DistributedLearner(factory, num_workers=2,
                                              sync_every=1, window_batches=4,
-                                             backend=backend)
+                                             backend=backend,
+                                             profiler=profiler)
             with configure(plan_capture=plans_on):
                 for batch in ElectricitySimulator(seed=3).stream(8, 128):
                     distributed.process(batch)
@@ -558,14 +584,15 @@ class TestSharedPlans:
 
         seen = []
 
-        def hook(event, _seconds):
-            seen.append((event, threading.current_thread().name))
+        class ThreadRecorder(HotPathProfiler):
+            """Notes the thread each plan event is raised on."""
 
-        nn_plan.add_plan_hook(hook)
-        try:
-            threaded = run("thread", plans_on=True)
-        finally:
-            nn_plan.remove_plan_hook(hook)
+            def observe_plan_event(self, event, _seconds):
+                seen.append((event, threading.current_thread().name))
+
+        # Each replica Learner gets the profiler and enters its plan-event
+        # scope on the worker thread that runs it.
+        threaded = run("thread", plans_on=True, profiler=ThreadRecorder())
         assert threaded == run("serial", plans_on=False)
         assert not [name for event, name in seen if event == "unsupported"]
         replaying = {name for event, name in seen if event == "replay"}

@@ -258,7 +258,6 @@ class TestStackedOptimizerState:
         for stacked_module, serial_module in zip(stacked, serial):
             assert_params_equal(stacked_module, params_of(serial_module))
         for stacked_opt, serial_opt in zip(stacked_opts, serial_opts):
-            serial_opt._export_flat_state()
             assert set(stacked_opt._velocity) == set(serial_opt._velocity)
             for index, velocity in serial_opt._velocity.items():
                 np.testing.assert_array_equal(
@@ -287,7 +286,6 @@ class TestStackedOptimizerState:
         for stacked_module, serial_module in zip(stacked, serial):
             assert_params_equal(stacked_module, params_of(serial_module))
         for stacked_opt, serial_opt in zip(stacked_opts, serial_opts):
-            serial_opt._export_flat_state()
             assert stacked_opt._step_count == serial_opt._step_count
             for state in ("_m", "_v"):
                 mine, theirs = (getattr(stacked_opt, state),
@@ -400,7 +398,6 @@ class TestMergedOpsMatchSerial:
                     assert (mine.rng.bit_generator.state
                             == theirs.rng.bit_generator.state)
         for stacked_opt, serial_opt in zip(stacked_opts, serial_opts):
-            serial_opt._export_flat_state()
             for state in ("_velocity", "_m", "_v"):
                 mine = getattr(stacked_opt, state, {})
                 theirs = getattr(serial_opt, state, {})
